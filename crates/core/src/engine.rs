@@ -522,7 +522,7 @@ impl SecurityEngine {
     /// With the event-driven policy the channel jumps straight to its next
     /// *decision* cycle — the controller's exact bound on when any command
     /// can issue, completion pop, drain flip, or refresh arm (idle or
-    /// busy; the old quiescent-only activity skip is subsumed). Metadata
+    /// busy). Metadata
     /// -writeback retries interleave at exactly the same cycles as the
     /// per-cycle reference: while a writeback is spilled *and* the write
     /// queue has room we fall back to per-cycle stepping (the rare case —

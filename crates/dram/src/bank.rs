@@ -17,23 +17,25 @@ pub(crate) struct Bank {
     pub next_pre: u64,
 }
 
-/// Timing state shared by all banks of a rank.
+/// Timing registers shared by the banks of one rank's bank group. Each
+/// is the running max of its rank-wide (`_S`) and same-group (`_L`)
+/// constraints: every component only ratchets upward, so one value per
+/// group answers both checks exactly.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GroupTiming {
+    /// Earliest column command (tCCD_S, tCCD_L).
+    pub next_col: u64,
+    /// Earliest READ (tWTR_S, tWTR_L after a write).
+    pub next_read: u64,
+    /// Earliest ACT (tRRD_S, tRRD_L, and the rank's tFAW window).
+    pub next_act: u64,
+}
+
+/// Refresh and four-activate-window state of one rank.
 #[derive(Debug, Clone)]
 pub(crate) struct Rank {
     /// Issue times of the most recent ACTs (tFAW window, max 4 retained).
     pub act_window: VecDeque<u64>,
-    /// Earliest next ACT anywhere in the rank (tRRD_S).
-    pub next_act_any: u64,
-    /// Earliest next ACT per bank group (tRRD_L).
-    pub next_act_same_bg: Vec<u64>,
-    /// Earliest next column command anywhere in the rank (tCCD_S).
-    pub next_col_any: u64,
-    /// Earliest next column command per bank group (tCCD_L).
-    pub next_col_same_bg: Vec<u64>,
-    /// Earliest next READ anywhere in the rank (tWTR_S after a write).
-    pub next_read_any: u64,
-    /// Earliest next READ per bank group (tWTR_L after a write).
-    pub next_read_same_bg: Vec<u64>,
     /// Cycle at which the next refresh becomes due.
     pub refresh_due: u64,
     /// Whether a refresh is pending (blocks new row activity).
@@ -41,15 +43,9 @@ pub(crate) struct Rank {
 }
 
 impl Rank {
-    pub fn new(bank_groups: u32, t_refi: u64) -> Self {
+    pub fn new(t_refi: u64) -> Self {
         Self {
             act_window: VecDeque::with_capacity(4),
-            next_act_any: 0,
-            next_act_same_bg: vec![0; bank_groups as usize],
-            next_col_any: 0,
-            next_col_same_bg: vec![0; bank_groups as usize],
-            next_read_any: 0,
-            next_read_same_bg: vec![0; bank_groups as usize],
             refresh_due: t_refi,
             refresh_pending: false,
         }
@@ -79,7 +75,7 @@ mod tests {
 
     #[test]
     fn faw_window_tracks_last_four() {
-        let mut r = Rank::new(4, 1000);
+        let mut r = Rank::new(1000);
         assert_eq!(r.faw_ready(34), 0);
         for t in [10, 20, 30, 40] {
             r.record_act(t);

@@ -5,15 +5,12 @@
 //!
 //! * [`DramSystem::tick`] — the per-cycle reference: advance one memory
 //!   cycle, issue at most one command, harvest due completions.
-//! * the event-driven fast path — when the controller is
-//!   [quiescent](DramSystem::is_quiescent) (the last tick performed no
-//!   action and nothing was enqueued since), every issue condition is a
-//!   monotone `now >= threshold` comparison against static timing
-//!   registers, so [`DramSystem::next_activity_cycle`] can lower-bound
-//!   the next cycle anything could happen and
-//!   [`DramSystem::skip_idle_to`] jumps the clock there in O(banks)
-//!   instead of O(cycles). Skipped cycles are provably no-ops, keeping
-//!   command schedules and statistics bit-identical to the reference.
+//! * [`DramSystem::tick_until`] — the event-driven path: it jumps the
+//!   clock between *decision cycles* ([`DramSystem::next_decision_cycle`])
+//!   and executes only the ticks where a command issues, a completion
+//!   lands, the write-drain mode flips or refresh management acts.
+//!   Skipped cycles are provably no-ops, so command schedules and
+//!   statistics stay bit-identical to the reference.
 //!
 //! # Incremental scheduling state
 //!
@@ -23,57 +20,49 @@
 //! (requests needing a PRE and/or ACT first), maintained on enqueue,
 //! column issue, precharge, and activate. Within one bank, command
 //! readiness is uniform across an eligibility class, so each bank
-//! contributes at most one candidate per scheduling pass (the front of
-//! the relevant FIFO) and the FR-FCFS decision reduces to
-//! "earliest-arrived ready candidate across banks" — O(banks) per tick
-//! instead of O(queue length) rescans. Short queues (where touching
-//! every bank would cost more than touching every request) are walked
-//! directly; both paths are decision-identical.
+//! contributes at most one candidate per class (the FIFO's front, kept
+//! in a flat per-bank array) and the FR-FCFS decision reduces to
+//! "earliest-arrived ready candidate across banks" — O(occupied banks)
+//! instead of O(queue length).
 //!
 //! The original full-rescan scheduler is retained as
 //! [`SchedulerMode::NaiveRescan`]; the differential tests drive both
 //! implementations over the same traffic and require bit-identical
 //! schedules.
 //!
-//! The same per-bank state feeds the event bounds: each bank caches a
-//! lower bound on its earliest possible READ column command. Timing
-//! registers only ratchet upward as commands issue, so a cached bound
-//! stays valid until it expires; only a read enqueue to that specific
-//! bank (which can genuinely lower the bank's true bound) invalidates it
-//! early. [`DramSystem::next_read_issue_cycle`] folds the per-bank
-//! bounds into a controller-level minimum, so invalidation is narrowed
-//! to the banks actually touched.
+//! # The scan: one walk per decision
 //!
-//! # The decision bound: event-izing the *busy* path
+//! Between state changes (an enqueue, an issued command, a drain flip, a
+//! rank arming its refresh) every issue condition is a monotone `now >=
+//! threshold` comparison against fixed timing registers, so the set of
+//! ready candidates only grows with time. One walk over the scheduled
+//! queue's occupied banks therefore finds the FR-FCFS command *and the
+//! exact cycle it issues*: each bank offers its hit front (column) and
+//! its miss front (PRE or ACT) at the cycle all of its gates hold; the
+//! earliest cycle wins, row hits before misses and arrival order within
+//! each. Rank and bank-group gates — the bus-turnaround bubble and
+//! refresh-pending blackouts included — are computed once per group:
+//! banks are visited in flat order, in which a group's banks are
+//! contiguous. The anti-starvation crossing is folded in as well: from
+//! the cycle the oldest request's age exceeds the limit, only that
+//! request's own command counts.
 //!
-//! Quiescence only covers idle stretches. A saturated channel is never
-//! quiescent, yet most of its ticks are still no-ops — every candidate
-//! command is waiting out some timing threshold. The *decision bound*
-//! ([`DramSystem::next_decision_cycle`]) covers this case: for each
-//! candidate command of the currently scheduled queue it takes the
-//! **conjunction** of the thresholds that gate it (earliest cycle all of
-//! them hold, past-due ones clamping to the next cycle), then folds in
-//! completion pops, refresh-scan actions, drain-hysteresis flips, and
-//! anti-starvation crossings. The result is a lower bound on the next
-//! non-no-op tick that is valid in *any* state, so
-//! [`DramSystem::tick_until`] can jump between decision cycles while the
-//! channel is busy. Candidates suppressed by refresh blackouts, FCFS
-//! ordering, anti-starvation, or bus-turnaround bubbles are included
-//! anyway: suppression only delays an issue, so at worst the bound wakes
-//! a tick early and executes the same no-op tick the per-cycle reference
-//! executed — never skips a decision. Per-bank conjunctions are cached
-//! ([`ratchet argument`](DramSystem::next_read_issue_cycle) as above,
-//! tagged by queue kind so drain flips simply miss), and the global
-//! bound is memoized across no-op ticks, which cannot change scheduler
-//! state.
+//! The walk's result is memoized until the state changes, so
+//! [`DramSystem::tick`]'s pick and the decision bound share one walk, and
+//! a no-op stretch costs no walk at all. The same memo carries the lower
+//! bound on the next READ column command
+//! ([`DramSystem::next_read_issue_cycle`]), walked over the read queue on
+//! its first query. That bound must hold across any later command
+//! sequence, not just the frozen state, and it does: timing registers
+//! only ratchet upward as commands issue.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use sim_kernel::{fold_next_event, fold_ready_event, Advance, EventQueue, FxHashMap, SimClock};
+use sim_kernel::{fold_ready_event, Advance, EventQueue, FxHashMap, SimClock};
 
 use crate::address::{AddressMapping, DecodedAddr};
-use crate::bank::{Bank, Rank};
+use crate::bank::{Bank, GroupTiming, Rank};
 use crate::config::DramConfig;
 use crate::request::{Completion, MemRequest, ReqKind};
 use crate::stats::DramStats;
@@ -98,10 +87,21 @@ impl core::fmt::Display for EnqueueError {
 
 impl std::error::Error for EnqueueError {}
 
-/// Queues at or below this length are scheduled by walking the requests
-/// directly instead of the per-bank candidate scan: with so few requests,
-/// touching every bank costs more than touching every request.
-const SMALL_QUEUE_RESCAN: usize = 12;
+/// Empty-FIFO marker in [`SchedQueue`]'s per-bank front arrays.
+const NONE: u32 = u32::MAX;
+
+/// Low bits of a [`key`] holding the arrival position.
+const IDX_BITS: u32 = 20;
+const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
+
+/// Packs a scheduler candidate's issue cycle above its arrival position,
+/// so one integer `min` picks the earliest cycle and, within it, the
+/// oldest request. Positions stay below 2^20 (the queues are capped well
+/// below that and compact their tombstones) and cycles below 2^44.
+fn key(cycle: u64, idx: u32) -> u64 {
+    debug_assert!(cycle >> (64 - IDX_BITS) == 0 && u64::from(idx) <= IDX_MASK);
+    cycle << IDX_BITS | u64::from(idx)
+}
 
 #[derive(Debug, Clone)]
 struct QueuedReq {
@@ -186,8 +186,11 @@ struct SchedQueue {
     /// Per-flat-bank FIFO (arrival order) of indices of requests needing
     /// PRE/ACT first.
     misses: Vec<VecDeque<u32>>,
-    /// Queued requests per bank (hits + misses).
-    bank_count: Vec<u32>,
+    /// Front of each bank's hit FIFO ([`NONE`] when empty): the scan
+    /// reads these flat arrays instead of every FIFO header.
+    hit_front: Vec<u32>,
+    /// Front of each bank's miss FIFO ([`NONE`] when empty).
+    miss_front: Vec<u32>,
     /// Bit `fb` set iff `hits[fb]` is nonempty. The scheduler's hot
     /// passes run every busy cycle and most banks are empty most of the
     /// time, so they walk set bits instead of sweeping every FIFO header.
@@ -208,7 +211,8 @@ impl SchedQueue {
             first_live: Cell::new(0),
             hits: vec![VecDeque::new(); total_banks],
             misses: vec![VecDeque::new(); total_banks],
-            bank_count: vec![0; total_banks],
+            hit_front: vec![NONE; total_banks],
+            miss_front: vec![NONE; total_banks],
             hit_mask: 0,
             miss_mask: 0,
         }
@@ -267,12 +271,10 @@ impl SchedQueue {
         let fb = entry.flat_bank;
         if is_hit {
             self.hits[fb].push_back(idx);
-            self.hit_mask |= 1 << fb;
         } else {
             self.misses[fb].push_back(idx);
-            self.miss_mask |= 1 << fb;
         }
-        self.bank_count[fb] += 1;
+        self.sync_bank(fb);
         self.q.push(Some(entry));
         self.live += 1;
     }
@@ -284,12 +286,9 @@ impl SchedQueue {
     fn remove_issued_hit(&mut self, idx: usize) -> QueuedReq {
         let entry = self.q[idx].take().expect("issued index is live");
         let fb = entry.flat_bank;
-        debug_assert_eq!(self.hits[fb].front(), Some(&(idx as u32)));
+        debug_assert_eq!(self.hit_front[fb], idx as u32);
         self.hits[fb].pop_front();
-        if self.hits[fb].is_empty() {
-            self.hit_mask &= !(1 << fb);
-        }
-        self.bank_count[fb] -= 1;
+        self.sync_bank(fb);
         self.live -= 1;
         if self.live == 0 {
             // Every FIFO is empty: restart arrival positions from zero.
@@ -320,6 +319,9 @@ impl SchedQueue {
                 *v = map[*v as usize];
             }
         }
+        for fb in 0..self.hits.len() {
+            self.sync_bank(fb);
+        }
         self.first_live.set(0);
     }
 
@@ -336,7 +338,7 @@ impl SchedQueue {
                 self.misses[flat_bank].push_back(idx);
             }
         }
-        self.set_masks(flat_bank);
+        self.sync_bank(flat_bank);
     }
 
     /// Reclassifies a bank's entries after a PRE closed the row: former
@@ -365,21 +367,87 @@ impl SchedQueue {
             }
         }
         self.misses[flat_bank] = merged;
-        self.set_masks(flat_bank);
+        self.sync_bank(flat_bank);
     }
 
-    /// Re-derives `flat_bank`'s occupancy-mask bits from its FIFOs.
-    fn set_masks(&mut self, flat_bank: usize) {
+    /// Re-derives `flat_bank`'s fronts and occupancy-mask bits from its
+    /// FIFOs.
+    fn sync_bank(&mut self, flat_bank: usize) {
         let bit = 1 << flat_bank;
-        if self.hits[flat_bank].is_empty() {
+        self.hit_front[flat_bank] = self.hits[flat_bank].front().copied().unwrap_or(NONE);
+        self.miss_front[flat_bank] = self.misses[flat_bank].front().copied().unwrap_or(NONE);
+        if self.hit_front[flat_bank] == NONE {
             self.hit_mask &= !bit;
         } else {
             self.hit_mask |= bit;
         }
-        if self.misses[flat_bank].is_empty() {
+        if self.miss_front[flat_bank] == NONE {
             self.miss_mask &= !bit;
         } else {
             self.miss_mask |= bit;
+        }
+    }
+}
+
+/// One walk's answer (see the module docs): the scheduler's next command
+/// and the exact cycle it issues, given that nothing changes meanwhile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Scan {
+    /// Cycle the walk was taken from. The answer holds for every cycle
+    /// in `from..=at` until the state changes.
+    from: u64,
+    /// Cycle `action` issues (`u64::MAX` with no action: nothing can
+    /// issue before the state changes).
+    at: u64,
+    /// The command issuing at `at`.
+    action: Option<SchedAction>,
+    /// Cycle from which the queue's oldest request starves: only its own
+    /// command may issue from then on.
+    starving_from: u64,
+    /// Raw lower bound over the read queue's banks on the next READ
+    /// column command, across any later command sequence (`u64::MAX`
+    /// with no read queued); draining adds a floor on top. Walked on the
+    /// first [`DramSystem::next_read_issue_cycle`] query, since far fewer
+    /// scans are asked for it than are taken.
+    read_min: Option<u64>,
+}
+
+/// Timing gates a rank and bank group impose on one queue kind's
+/// commands, shared by every bank of the group.
+#[derive(Debug, Clone, Copy, Default)]
+struct Gate {
+    /// Earliest column command, bus-turnaround bubble included.
+    col: u64,
+    /// `col` without the bubble: a later command can move the bus, so
+    /// only this form stays a READ lower bound across commands.
+    col_lb: u64,
+    /// Earliest ACT (tRRD, tFAW).
+    act: u64,
+    /// The rank has a refresh pending: no scheduler command may issue.
+    blocked: bool,
+}
+
+impl Gate {
+    /// Earliest column command of `kind` at `bank` (a row hit).
+    #[inline]
+    fn column(&self, bank: &Bank, kind: ReqKind) -> u64 {
+        match kind {
+            ReqKind::Read => bank.next_read,
+            ReqKind::Write => bank.next_write,
+        }
+        .max(self.col)
+    }
+
+    /// Earliest preparing command at `bank` (a row miss): PRE when a row
+    /// is open, ACT when the bank is closed. Both sides are computed
+    /// first so the choice compiles to a select, not a branch.
+    #[inline]
+    fn prepare(&self, bank: &Bank) -> u64 {
+        let act = bank.next_act.max(self.act);
+        if bank.open_row.is_some() {
+            bank.next_pre
+        } else {
+            act
         }
     }
 }
@@ -396,6 +464,9 @@ pub struct DramSystem {
     clock: SimClock,
     banks: Vec<Bank>,
     ranks: Vec<Rank>,
+    /// Per (rank, bank group) timing registers, indexed by flat group
+    /// (`flat_bank >> bg_shift`).
+    groups: Vec<GroupTiming>,
     read_sched: SchedQueue,
     write_sched: SchedQueue,
     /// Line address -> queued write count (O(1) store-forward probe).
@@ -419,39 +490,10 @@ pub struct DramSystem {
     series: Option<crate::series::DramSeries>,
     /// Age (cycles) beyond which the oldest request pre-empts row hits.
     starvation_limit: u64,
-    /// True when the last tick performed no action and nothing was
-    /// enqueued since: every issue condition is then waiting on a static
-    /// timing threshold, so idle cycles may be skipped.
-    quiescent: bool,
-    /// Memoized [`Self::next_activity_cycle`] bound. The threshold set is
-    /// static across a quiescent stretch, so the scan runs once per
-    /// stretch; any enqueue or active tick invalidates it.
-    next_activity_cache: Cell<Option<u64>>,
-    /// Memoized controller-level [`Self::next_read_issue_cycle`] bound
-    /// (raw, unclamped). Timing registers only ratchet upward, so a
-    /// computed bound stays a valid lower bound until it expires; only a
-    /// read enqueue (which can genuinely lower the true next issue)
-    /// invalidates it early.
-    next_read_issue_cache: Cell<Option<u64>>,
-    /// Per-bank raw lower bound on the bank's earliest READ column issue.
-    /// Same ratchet argument per bank: invalidated only by a read enqueue
-    /// to that bank, re-derived lazily on expiry.
-    read_bank_bound: Vec<Cell<Option<u64>>>,
-    /// Memoized [`Self::next_decision_cycle`] bound (always strictly
-    /// after the cycle it was computed at). Invalidated by any enqueue
-    /// and by every non-no-op tick; no-op ticks cannot change scheduler
-    /// state, so an unexpired value stays a valid lower bound across
-    /// them.
-    next_decision_cache: Cell<Option<u64>>,
-    /// Per-bank lower bound on the bank's earliest command issue
-    /// (column, PRE, or ACT) for one queue, tagged with the queue kind —
-    /// a drain flip changes the candidate set, so entries computed for
-    /// the other mode simply miss. Invalidated by an enqueue to the bank
-    /// and by activate/precharge reclassification; commands at other
-    /// banks only ratchet the shared rank registers upward, which keeps
-    /// cached values valid lower bounds, and any command at this bank
-    /// was itself a cached candidate, so the cache has already expired.
-    decision_bank_bound: Vec<Cell<Option<(ReqKind, u64)>>>,
+    /// Memoized [`Self::scan`] per queue kind (indexed by `ReqKind as
+    /// usize`), so drain-mode flips reuse both. Issued commands and
+    /// refresh arming clear them; enqueues fold into them.
+    scans: [Cell<Option<Scan>>; 2],
     /// False when the write-drain predicate provably cannot fire: it
     /// reads only the queue lengths and the current mode, so after an
     /// evaluation that did not flip it stays false until a length
@@ -468,12 +510,11 @@ pub struct DramSystem {
     /// constant occupancy are recorded at those events (and folded in on
     /// [`Self::stats`]) instead of touching the histograms every tick.
     occupancy_credited_to: u64,
-    /// log2(banks per rank) — flat-bank → rank without a division.
-    rank_shift: u32,
-    /// log2(banks per group) — flat-bank → bank-group without a division.
+    /// log2(banks per group): `flat_bank >> bg_shift` is the bank's flat
+    /// (rank, bank group) index.
     bg_shift: u32,
-    /// Mask selecting the within-rank part of a flat bank id.
-    bank_in_rank_mask: usize,
+    /// log2(bank groups per rank): flat group → rank without a division.
+    group_shift: u32,
 }
 
 impl DramSystem {
@@ -484,26 +525,29 @@ impl DramSystem {
     /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: DramConfig) -> Self {
         cfg.validate().expect("invalid DRAM configuration");
+        // Arrival positions run to about twice a queue's capacity
+        // between compactions; `key` keeps them in IDX_BITS.
+        assert!(
+            cfg.read_queue.max(cfg.write_queue) < 1 << (IDX_BITS - 2),
+            "queue capacity too large for the scheduler's keys"
+        );
         let mapping = AddressMapping::new(&cfg);
         let total_banks = cfg.total_banks() as usize;
         let banks = vec![Bank::default(); total_banks];
-        let ranks: Vec<Rank> = (0..cfg.ranks)
-            .map(|_| Rank::new(cfg.bank_groups, cfg.t_refi))
-            .collect();
+        let ranks: Vec<Rank> = (0..cfg.ranks).map(|_| Rank::new(cfg.t_refi)).collect();
         let refresh_due_min = ranks
             .iter()
             .map(|r| r.refresh_due)
             .min()
             .unwrap_or(u64::MAX);
-        let banks_per_rank = cfg.bank_groups * cfg.banks_per_group;
         Self {
-            rank_shift: banks_per_rank.trailing_zeros(),
             bg_shift: cfg.banks_per_group.trailing_zeros(),
-            bank_in_rank_mask: banks_per_rank as usize - 1,
+            group_shift: cfg.bank_groups.trailing_zeros(),
             mapping,
             clock: SimClock::new(),
             banks,
             ranks,
+            groups: vec![GroupTiming::default(); (cfg.ranks * cfg.bank_groups) as usize],
             read_sched: SchedQueue::new(total_banks),
             write_sched: SchedQueue::new(total_banks),
             write_lines: FxHashMap::default(),
@@ -517,12 +561,7 @@ impl DramSystem {
             telemetry: ControllerTelemetry::default(),
             series: None,
             starvation_limit: 2_000,
-            quiescent: false,
-            next_activity_cache: Cell::new(None),
-            next_read_issue_cache: Cell::new(None),
-            read_bank_bound: vec![Cell::new(None); total_banks],
-            next_decision_cache: Cell::new(None),
-            decision_bank_bound: vec![Cell::new(None); total_banks],
+            scans: [Cell::new(None), Cell::new(None)],
             drain_dirty: true,
             refresh_due_min,
             refresh_pending_any: false,
@@ -629,12 +668,6 @@ impl DramSystem {
         self.read_sched.is_empty() && self.write_sched.is_empty() && self.pending.is_empty()
     }
 
-    /// True when the last tick performed no action and nothing was
-    /// enqueued since — the precondition for the event-driven skip.
-    pub fn is_quiescent(&self) -> bool {
-        self.quiescent
-    }
-
     /// Selects which scheduler implementation [`Self::tick`] runs
     /// (validation seam — both modes are bit-identical by construction
     /// and by the differential tests).
@@ -655,227 +688,48 @@ impl DramSystem {
         }
     }
 
-    #[inline]
-    fn rank_and_bg_of(&self, flat_bank: usize) -> (usize, usize) {
-        (
-            flat_bank >> self.rank_shift,
-            (flat_bank & self.bank_in_rank_mask) >> self.bg_shift,
-        )
-    }
-
-    /// Lower bound (strictly after [`Self::cycle`]) on the next cycle at
-    /// which [`Self::tick`] could perform any action, assuming the
-    /// controller [is quiescent](Self::is_quiescent).
-    ///
-    /// Every issue condition in the scheduler is a conjunction of
-    /// `now >= threshold` comparisons against timing registers that only
-    /// change when a command issues. After a no-op tick, each candidate
-    /// action therefore has at least one unsatisfied threshold in the set
-    /// collected here, so nothing can happen before the earliest of them.
-    pub fn next_activity_cycle(&self) -> u64 {
-        let now = self.clock.now();
-        if let Some(cached) = self.cached_next_activity() {
-            return cached;
-        }
-        let bound = self.compute_next_activity(now);
-        self.next_activity_cache.set(Some(bound));
-        bound
-    }
-
-    /// The memoized [`Self::next_activity_cycle`] bound if one is still
-    /// valid, without computing anything — callers advancing in small
-    /// windows use this to skip for free and only pay for a fresh bound
-    /// when the window is wide enough to amortize it.
-    pub fn cached_next_activity(&self) -> Option<u64> {
-        self.next_activity_cache
-            .get()
-            .filter(|&c| c > self.clock.now())
-    }
-
-    /// Folds every timing threshold a request queued at `flat_bank` can
-    /// be waiting on (bank registers plus its rank/bank-group registers).
-    fn fold_bank_thresholds(&self, now: u64, bound: &mut u64, flat_bank: usize) {
-        let bank = &self.banks[flat_bank];
-        fold_next_event(now, bound, bank.next_act);
-        fold_next_event(now, bound, bank.next_pre);
-        fold_next_event(now, bound, bank.next_read);
-        fold_next_event(now, bound, bank.next_write);
-        let (r, bg) = self.rank_and_bg_of(flat_bank);
-        let rank = &self.ranks[r];
-        fold_next_event(now, bound, rank.next_act_any);
-        fold_next_event(now, bound, rank.next_col_any);
-        fold_next_event(now, bound, rank.next_read_any);
-        fold_next_event(now, bound, rank.faw_ready(self.cfg.t_faw));
-        fold_next_event(now, bound, rank.next_act_same_bg[bg]);
-        fold_next_event(now, bound, rank.next_col_same_bg[bg]);
-        fold_next_event(now, bound, rank.next_read_same_bg[bg]);
-    }
-
-    fn compute_next_activity(&self, now: u64) -> u64 {
-        let mut bound = u64::MAX;
-        // In-flight data beats land at their precomputed finish cycles.
-        if let Some(t) = self.pending.peek_time() {
-            fold_next_event(now, &mut bound, t);
-        }
-        // The scheduler only ever touches banks with queued requests. For
-        // short queues (the common stall case) walking the requests beats
-        // sweeping the bank array; otherwise scan the per-bank occupancy
-        // counters.
-        let queued = self.read_sched.len() + self.write_sched.len();
-        if queued <= SMALL_QUEUE_RESCAN {
-            for q in [&self.read_sched, &self.write_sched] {
-                for (_, entry) in q.iter() {
-                    self.fold_bank_thresholds(now, &mut bound, entry.flat_bank);
-                }
-            }
-        } else {
-            let mut m = self.read_sched.hit_mask
-                | self.read_sched.miss_mask
-                | self.write_sched.hit_mask
-                | self.write_sched.miss_mask;
-            while m != 0 {
-                let fb = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.fold_bank_thresholds(now, &mut bound, fb);
-            }
-        }
-        // Refresh management runs regardless of the queues: the due
-        // time itself, plus — once a refresh is pending — the
-        // precharge/REF readiness of that rank's banks.
-        let bpr = (self.cfg.bank_groups * self.cfg.banks_per_group) as usize;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            fold_next_event(now, &mut bound, rank.refresh_due);
-            if rank.refresh_pending {
-                for bank in &self.banks[r * bpr..(r + 1) * bpr] {
-                    fold_next_event(now, &mut bound, bank.next_act);
-                    fold_next_event(now, &mut bound, bank.next_pre);
-                }
-            }
-        }
-        // Data-bus release: a column command needs `now + lat >=
-        // bus_busy_until + bubble`; cover every (latency, bubble) combo.
-        for lat in [self.cfg.t_cl, self.cfg.t_cwl] {
-            for bubble in [0u64, 2] {
-                let t = (self.bus_busy_until + bubble).saturating_sub(lat);
-                fold_next_event(now, &mut bound, t);
-            }
-        }
-        // Anti-starvation kicks in when the oldest request's age crosses
-        // the limit, which changes scheduling even without a new command.
-        for q in [&self.read_sched, &self.write_sched] {
-            if let Some((_, oldest)) = q.oldest() {
-                fold_next_event(
-                    now,
-                    &mut bound,
-                    oldest.req.enqueue_cycle + self.starvation_limit,
-                );
-            }
-        }
-        bound.max(now + 1)
-    }
-
     /// Lower bound on the next cycle a READ column command can issue —
     /// the moment read-queue capacity frees and the earliest any queued
     /// read's data can start moving.
     ///
-    /// Unlike [`Self::next_activity_cycle`] this is valid in any state
-    /// (not just quiescent): every term reads a timing register that only
-    /// ratchets upward as commands issue, so current values lower-bound
-    /// future readiness. Refresh blackouts are ignored (they only push
-    /// the true issue later). Returns `u64::MAX` when no read is queued.
+    /// Valid in any state and across any later command sequence: every
+    /// term reads a timing register that only ratchets upward as
+    /// commands issue, so current values lower-bound future readiness.
+    /// Refresh blackouts are ignored (they only push the true issue
+    /// later). Returns `u64::MAX` when no read is queued.
     pub fn next_read_issue_cycle(&self) -> u64 {
         if self.read_sched.is_empty() {
             return u64::MAX;
         }
-        let now = self.clock.now();
-        self.next_read_issue_raw(now).max(now + 1)
-    }
-
-    /// The unclamped bound behind [`Self::next_read_issue_cycle`]: may be
-    /// at or before `now`, in which case a READ column command could be
-    /// ready this very cycle.
-    fn next_read_issue_raw(&self, now: u64) -> u64 {
-        if let Some(cached) = self.next_read_issue_cache.get() {
-            if cached > now {
-                return cached;
-            }
-        }
-        let bound = self.compute_next_read_issue(now);
-        self.next_read_issue_cache.set(Some(bound));
-        bound
-    }
-
-    fn compute_next_read_issue(&self, now: u64) -> u64 {
-        // While draining, no read issues until the write queue falls to
-        // the low watermark: `surplus` more writes must issue, their data
-        // bursts occupy the bus at least `write_burst_cycles` apart, and
-        // the earliest schedule starts a write this very cycle — so the
-        // last one issues no sooner than `(surplus - 1)` spacings out and
-        // a read column follows at the next tick. (`surplus *
-        // write_burst_cycles` would overshoot by `write_burst_cycles - 1`;
-        // this bound is consumed as an exact no-read-possible gate by
-        // [`Self::pick_action_incremental`], so an overshoot would delay
-        // real issues, not just wake sleepers late.)
+        let from = self.clock.now() + 1;
         let floor = if self.draining_writes {
+            // No read issues until the write queue falls to the low
+            // watermark: `surplus` more writes must issue, their data
+            // bursts occupy the bus at least `write_burst_cycles` apart,
+            // and the earliest schedule starts one at `from`, so the last
+            // one issues no sooner than `(surplus - 1)` spacings out.
+            // (`surplus * write_burst_cycles` would overshoot by
+            // `write_burst_cycles - 1`.)
             let surplus = self
                 .write_sched
                 .len()
                 .saturating_sub(self.cfg.write_drain_lo) as u64;
-            now + surplus.saturating_sub(1) * self.cfg.write_burst_cycles + 1
+            from + surplus.saturating_sub(1) * self.cfg.write_burst_cycles
         } else {
-            now
+            from
         };
-        let mut bound = u64::MAX;
-        let mut m = self.read_sched.hit_mask | self.read_sched.miss_mask;
-        while m != 0 {
-            let fb = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let per_bank = match self.read_bank_bound[fb].get() {
-                Some(b) if b > now => b,
-                _ => {
-                    let b = self.compute_bank_read_issue(fb);
-                    self.read_bank_bound[fb].set(Some(b));
-                    b
-                }
-            };
-            bound = bound.min(per_bank);
-        }
-        bound.max(floor)
-    }
-
-    /// Earliest cycle any of `flat_bank`'s queued reads could issue its
-    /// column command. Within a bank, readiness is uniform across an
-    /// eligibility class, so this inspects the class fronts rather than
-    /// every request.
-    fn compute_bank_read_issue(&self, flat_bank: usize) -> u64 {
-        let q = &self.read_sched;
-        let bank = &self.banks[flat_bank];
-        let (r, bg) = self.rank_and_bg_of(flat_bank);
-        let rank = &self.ranks[r];
-        let mut t = u64::MAX;
-        if !q.hits[flat_bank].is_empty() {
-            t = t.min(bank.next_read);
-        }
-        if !q.misses[flat_bank].is_empty() {
-            let m = match bank.open_row {
-                // Conflict: PRE, tRP, ACT, tRCD before the column command.
-                Some(_) => bank.next_pre + self.cfg.t_rp + self.cfg.t_rcd,
-                // Closed: ACT constraints then tRCD.
-                None => {
-                    bank.next_act
-                        .max(rank.next_act_any)
-                        .max(rank.next_act_same_bg[bg])
-                        .max(rank.faw_ready(self.cfg.t_faw))
-                        + self.cfg.t_rcd
-                }
-            };
-            t = t.min(m);
-        }
-        t.max(rank.next_read_any)
-            .max(rank.next_read_same_bg[bg])
-            .max(rank.next_col_any)
-            .max(rank.next_col_same_bg[bg])
-            .max(self.bus_busy_until.saturating_sub(self.cfg.t_cl))
+        let kind = self.sched_kind().expect("reads are queued");
+        let mut scan = self.scan(from);
+        let read_min = match scan.read_min {
+            Some(read_min) => read_min,
+            None => {
+                let read_min = self.read_walk();
+                scan.read_min = Some(read_min);
+                self.scans[kind as usize].set(Some(scan));
+                read_min
+            }
+        };
+        read_min.max(floor)
     }
 
     /// Lower bound on the next cycle any queued (not yet issued) READ's
@@ -885,35 +739,17 @@ impl DramSystem {
             .saturating_add(self.cfg.t_cl + self.cfg.read_burst_cycles)
     }
 
-    /// Lower bound (strictly after [`Self::cycle`]) on the next cycle at
-    /// which [`Self::tick`] could do anything at all — issue a command,
-    /// flip drain mode, pop a completion, or cross a refresh or
-    /// starvation boundary — valid in **any** state, busy or quiescent.
+    /// The next cycle (strictly after [`Self::cycle`]) at which
+    /// [`Self::tick`] could do anything at all — issue a command, flip
+    /// drain mode, pop a completion, or act on refresh — valid in **any**
+    /// state, busy or idle.
     ///
-    /// Where [`Self::next_activity_cycle`] folds every *individual*
-    /// threshold (and therefore requires quiescence, since an
-    /// already-satisfied threshold is dropped even though its candidate
-    /// may merely be deprioritized this cycle), this bound takes the
-    /// conjunction per candidate command: the earliest cycle all of its
-    /// thresholds hold, past-due ones clamping to the next cycle. A
-    /// ready-but-suppressed candidate (refresh blackout, FCFS ordering,
-    /// anti-starvation, turnaround bubble) keeps the bound at `now + 1`:
-    /// suppression only delays an issue, so the cost is a spurious
-    /// wake-up executing the same no-op tick the per-cycle reference
-    /// executed — never a missed decision.
+    /// The scheduler's own commands come from the memoized scan, which
+    /// is exact, so a busy channel executes one tick per command plus
+    /// its completions. Refresh management contributes its next possible
+    /// action; a drain flip fires on the very next tick.
     pub fn next_decision_cycle(&self) -> u64 {
         let now = self.clock.now();
-        if let Some(cached) = self.next_decision_cache.get() {
-            if cached > now {
-                return cached;
-            }
-        }
-        let bound = self.compute_next_decision(now);
-        self.next_decision_cache.set(Some(bound));
-        bound
-    }
-
-    fn compute_next_decision(&self, now: u64) -> u64 {
         // A drain flip is a scheduling change with no timing threshold
         // attached: if the predicate holds on the current lengths it
         // fires on the very next tick. (`drain_dirty == false` proves it
@@ -921,46 +757,12 @@ impl DramSystem {
         if self.drain_dirty && self.drain_would_flip() {
             return now + 1;
         }
-        let mut bound = u64::MAX;
+        let mut bound = self.scan(now + 1).at;
         // In-flight data beats pop at their precomputed finish cycles.
         if let Some(t) = self.pending.peek_time() {
             fold_ready_event(now, &mut bound, t);
         }
         self.fold_refresh_decision(now, &mut bound);
-        // Scheduler candidates, from the currently scheduled queue only:
-        // the inactive queue cannot issue before a drain flip, and flips
-        // are covered above (plus by cache invalidation on every length
-        // change).
-        if let Some(kind) = self.sched_kind() {
-            let q = self.sched(kind);
-            let mut m = q.hit_mask | q.miss_mask;
-            while m != 0 {
-                let fb = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let per_bank = match self.decision_bank_bound[fb].get() {
-                    Some((k, b)) if k == kind && b > now => b,
-                    _ => {
-                        let b = self.compute_bank_decision(kind, fb);
-                        self.decision_bank_bound[fb].set(Some((kind, b)));
-                        b
-                    }
-                };
-                fold_ready_event(now, &mut bound, per_bank);
-                if bound == now + 1 {
-                    return bound;
-                }
-            }
-            // Anti-starvation activates when the oldest request's age
-            // first exceeds the limit, restricting scheduling to that
-            // request — a decision change without any command issuing.
-            if let Some((_, oldest)) = q.oldest() {
-                fold_ready_event(
-                    now,
-                    &mut bound,
-                    oldest.req.enqueue_cycle + self.starvation_limit + 1,
-                );
-            }
-        }
         bound
     }
 
@@ -1003,44 +805,255 @@ impl DramSystem {
         }
     }
 
-    /// Earliest cycle any of `flat_bank`'s requests in the `kind` queue
-    /// could issue a command: the bank's oldest row hit's column command,
-    /// or its miss front's PRE (row open) / ACT (row closed). Each
-    /// candidate is the conjunction of the thresholds
-    /// [`Self::col_cmd_ready`] / [`Self::act_ready`] check; refresh
-    /// blackouts and turnaround bubbles are deliberately omitted (they
-    /// only delay, so omission keeps this a lower bound).
-    fn compute_bank_decision(&self, kind: ReqKind, flat_bank: usize) -> u64 {
+    /// The scheduler's next command from cycle `from` on, memoized per
+    /// queue kind until the state changes (see the module docs).
+    fn scan(&self, from: u64) -> Scan {
+        let Some(kind) = self.sched_kind() else {
+            return Scan {
+                from,
+                at: u64::MAX,
+                action: None,
+                starving_from: u64::MAX,
+                read_min: Some(u64::MAX),
+            };
+        };
+        let memo = &self.scans[kind as usize];
+        if let Some(s) = memo.get() {
+            if s.from <= from && from <= s.at {
+                return s;
+            }
+        }
+        let s = self.walk(kind, from);
+        memo.set(Some(s));
+        s
+    }
+
+    /// Clears both memoized scans: the state they were walked over moved.
+    fn forget_scans(&self) {
+        self.scans[0].set(None);
+        self.scans[1].set(None);
+    }
+
+    /// The walk behind [`Self::scan`] for `kind`'s queue.
+    fn walk(&self, kind: ReqKind, from: u64) -> Scan {
         let q = self.sched(kind);
+        let mut scan = Scan {
+            from,
+            at: u64::MAX,
+            action: None,
+            starving_from: u64::MAX,
+            read_min: None,
+        };
+        let Some((oldest_idx, oldest)) = q.oldest() else {
+            return scan;
+        };
+        // Earliest [`key`] among the row-hit column candidates and among
+        // the PRE/ACT candidates. The selects below stay free of
+        // data-dependent branches: bank states are unpredictable.
+        let mut hit = u64::MAX;
+        let mut miss = u64::MAX;
+        self.for_each_bank(kind, q.hit_mask | q.miss_mask, |fb, gate| {
+            let bank = &self.banks[fb];
+            let (h, m) = (q.hit_front[fb], q.miss_front[fb]);
+            // FCFS: only the globally oldest request may issue its column
+            // command (younger ones may still prepare their banks).
+            let may_hit =
+                (h != NONE) & !gate.blocked & (!self.cfg.fcfs | (h as usize == oldest_idx));
+            let may_miss = (m != NONE) & !gate.blocked;
+            let col = gate.column(bank, kind).max(from);
+            let prep = gate.prepare(bank).max(from);
+            hit = hit.min(if may_hit { key(col, h) } else { u64::MAX });
+            miss = miss.min(if may_miss { key(prep, m) } else { u64::MAX });
+        });
+        // Row hits win their cycle: compare cycles, not whole keys.
+        if hit != u64::MAX && hit >> IDX_BITS <= miss >> IDX_BITS {
+            scan.at = hit >> IDX_BITS;
+            scan.action = Some(SchedAction::Column {
+                kind,
+                idx: (hit & IDX_MASK) as usize,
+            });
+        } else if miss != u64::MAX {
+            let idx = (miss & IDX_MASK) as usize;
+            scan.at = miss >> IDX_BITS;
+            scan.action = Some(self.prepare_action(idx, q.req(idx)));
+        }
+        // Anti-starvation: from the cycle the oldest request's age first
+        // exceeds the limit, only its own command may issue.
+        scan.starving_from = oldest.req.enqueue_cycle + self.starvation_limit + 1;
+        if scan.at >= scan.starving_from {
+            let fb = oldest.flat_bank;
+            let gate = self.gate(kind, fb >> self.bg_shift);
+            let bank = &self.banks[fb];
+            let (ready, action) = if gate.blocked {
+                (u64::MAX, None)
+            } else if bank.open_row == Some(oldest.decoded.row) {
+                (
+                    gate.column(bank, kind),
+                    Some(SchedAction::Column {
+                        kind,
+                        idx: oldest_idx,
+                    }),
+                )
+            } else {
+                (
+                    gate.prepare(bank),
+                    Some(self.prepare_action(oldest_idx, oldest)),
+                )
+            };
+            scan.at = ready.max(from).max(scan.starving_from);
+            scan.action = action;
+        }
+        scan
+    }
+
+    /// The PRE (row conflict) or ACT (bank closed) that prepares the row
+    /// miss `entry` at arrival position `idx`.
+    fn prepare_action(&self, idx: usize, entry: &QueuedReq) -> SchedAction {
+        match self.banks[entry.flat_bank].open_row {
+            Some(_) => SchedAction::Precharge { idx },
+            None => SchedAction::Activate { idx },
+        }
+    }
+
+    /// Folds the request just enqueued into `kind`'s queue at
+    /// `flat_bank` into the memoized scans instead of clearing them.
+    /// Only a new FIFO front is a new candidate, and, being the youngest
+    /// request, it wins only by issuing strictly earlier, or as a row hit
+    /// in the cycle a PRE/ACT would have issued. An enqueue into an empty
+    /// queue changes the oldest request, so it clears that queue's scan.
+    fn fold_enqueued(&self, kind: ReqKind, flat_bank: usize) {
+        let now = self.clock.now();
+        let q = self.sched(kind);
+        let idx = (q.q.len() - 1) as u32;
+        let is_hit = q.hit_front[flat_bank] == idx;
+        if !is_hit && q.miss_front[flat_bank] != idx {
+            return; // Queued behind its bank's front: nothing can move.
+        }
+        let gate = self.gate(kind, flat_bank >> self.bg_shift);
         let bank = &self.banks[flat_bank];
-        let (r, bg) = self.rank_and_bg_of(flat_bank);
-        let rank = &self.ranks[r];
-        let mut t = u64::MAX;
-        if !q.hits[flat_bank].is_empty() {
-            let col = match kind {
-                ReqKind::Read => bank
-                    .next_read
-                    .max(rank.next_read_any)
-                    .max(rank.next_read_same_bg[bg])
-                    .max(self.bus_busy_until.saturating_sub(self.cfg.t_cl)),
-                ReqKind::Write => bank
-                    .next_write
-                    .max(self.bus_busy_until.saturating_sub(self.cfg.t_cwl)),
+        for memo_kind in [ReqKind::Read, ReqKind::Write] {
+            let memo = &self.scans[memo_kind as usize];
+            let Some(mut s) = memo.get() else {
+                continue;
             };
-            t = t.min(col.max(rank.next_col_any).max(rank.next_col_same_bg[bg]));
+            if s.at <= now || (memo_kind == kind && q.len() == 1) {
+                memo.set(None);
+                continue;
+            }
+            if let (ReqKind::Read, Some(read_min)) = (kind, s.read_min) {
+                s.read_min = Some(read_min.min(self.bank_read_bound(flat_bank, &gate)));
+            }
+            s.from = s.from.max(now + 1);
+            if memo_kind == kind && !gate.blocked && !(is_hit && self.cfg.fcfs) {
+                let t = match is_hit {
+                    true => gate.column(bank, kind),
+                    false => gate.prepare(bank),
+                }
+                .max(s.from);
+                let wins = if s.at >= s.starving_from {
+                    t < s.starving_from
+                } else {
+                    t < s.at
+                        || (t == s.at
+                            && is_hit
+                            && !matches!(s.action, Some(SchedAction::Column { .. })))
+                };
+                if wins {
+                    s.at = t;
+                    s.action = Some(match is_hit {
+                        true => SchedAction::Column {
+                            kind,
+                            idx: idx as usize,
+                        },
+                        false => self.prepare_action(idx as usize, q.req(idx as usize)),
+                    });
+                }
+            }
+            memo.set(Some(s));
         }
-        if !q.misses[flat_bank].is_empty() {
-            let prep = match bank.open_row {
-                Some(_) => bank.next_pre,
-                None => bank
-                    .next_act
-                    .max(rank.next_act_any)
-                    .max(rank.next_act_same_bg[bg])
-                    .max(rank.faw_ready(self.cfg.t_faw)),
+    }
+
+    /// Calls `f` on every bank of `mask` in flat order, with the bank's
+    /// [`Gate`] for `kind` — computed once per group, since a rank and
+    /// bank group's banks are contiguous in flat order.
+    fn for_each_bank(&self, kind: ReqKind, mut mask: u64, mut f: impl FnMut(usize, &Gate)) {
+        let mut group = usize::MAX;
+        let mut gate = Gate::default();
+        while mask != 0 {
+            let fb = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if fb >> self.bg_shift != group {
+                group = fb >> self.bg_shift;
+                gate = self.gate(kind, group);
+            }
+            f(fb, &gate);
+        }
+    }
+
+    /// The [`Gate`] of flat group `group` (`flat_bank >> bg_shift`) for
+    /// `kind`'s commands: the conjunction of the thresholds
+    /// [`Self::col_cmd_ready`] and [`Self::act_ready`] check at rank and
+    /// bank-group level.
+    #[inline]
+    fn gate(&self, kind: ReqKind, group: usize) -> Gate {
+        let r = group >> self.group_shift;
+        let timing = &self.groups[group];
+        let (lat, dir, col) = match kind {
+            ReqKind::Read => (
+                self.cfg.t_cl,
+                BusDir::Read,
+                timing.next_col.max(timing.next_read),
+            ),
+            ReqKind::Write => (self.cfg.t_cwl, BusDir::Write, timing.next_col),
+        };
+        let bubble =
+            if self.bus_dir != BusDir::Idle && (self.bus_dir != dir || self.bus_rank != r as u32) {
+                2
+            } else {
+                0
             };
-            t = t.min(prep);
+        Gate {
+            col: col.max((self.bus_busy_until + bubble).saturating_sub(lat)),
+            col_lb: col.max(self.bus_busy_until.saturating_sub(lat)),
+            act: timing.next_act,
+            blocked: self.refresh_pending_any && self.ranks[r].refresh_pending,
         }
-        t
+    }
+
+    /// [`Scan::read_min`]: the least [`Self::bank_read_bound`] over the
+    /// read queue's banks.
+    fn read_walk(&self) -> u64 {
+        let q = &self.read_sched;
+        let mut read_min = u64::MAX;
+        self.for_each_bank(ReqKind::Read, q.hit_mask | q.miss_mask, |fb, gate| {
+            read_min = read_min.min(self.bank_read_bound(fb, gate));
+        });
+        read_min
+    }
+
+    /// Raw lower bound on the earliest READ column command of `flat_bank`
+    /// in the read queue: its oldest hit's column, or its miss front's
+    /// PRE/ACT followed by tRP/tRCD. `gate` is the bank's read gate.
+    #[inline]
+    fn bank_read_bound(&self, flat_bank: usize, gate: &Gate) -> u64 {
+        let q = &self.read_sched;
+        let bank = &self.banks[flat_bank];
+        let hit = match q.hit_front[flat_bank] {
+            NONE => u64::MAX,
+            _ => bank.next_read,
+        };
+        // A miss first needs its PRE (row conflict: then tRP) and ACT,
+        // then tRCD before the column command.
+        let to_col = self.cfg.t_rcd
+            + match bank.open_row {
+                Some(_) => self.cfg.t_rp,
+                None => 0,
+            };
+        let miss = match q.miss_front[flat_bank] {
+            NONE => u64::MAX,
+            _ => gate.prepare(bank) + to_col,
+        };
+        hit.min(miss).max(gate.col_lb)
     }
 
     /// Fast-forwards over a span proven decision-free, crediting the
@@ -1072,15 +1085,7 @@ impl DramSystem {
         if now >= target {
             return;
         }
-        let next = match self.next_decision_cache.get().filter(|&c| c > now) {
-            Some(cached) => cached,
-            // A one-cycle window is never worth a fresh bound: ticking a
-            // possibly-no-op cycle is cheaper and identical (the
-            // reference ticks it too). A still-valid memoized bound was
-            // consulted for free above.
-            None if target <= now + 1 => return,
-            None => self.next_decision_cycle(),
-        };
+        let next = self.next_decision_cycle();
         if next > target {
             self.skip_span_to(target);
         } else if next > now + 1 {
@@ -1110,23 +1115,6 @@ impl DramSystem {
             }
         }
         done
-    }
-
-    /// Fast-forwards the clock over cycles proven idle by
-    /// [`Self::next_activity_cycle`], charging them to the cycle counter
-    /// (and to the occupancy histograms — queue lengths are constant
-    /// across a quiescent stretch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller is not quiescent or `cycle` is in the
-    /// past.
-    pub fn skip_idle_to(&mut self, cycle: u64) {
-        assert!(
-            self.quiescent,
-            "skip_idle_to requires a quiescent controller"
-        );
-        self.skip_span_to(cycle);
     }
 
     /// Advances to `target`, returning every completion on the way.
@@ -1160,73 +1148,48 @@ impl DramSystem {
     /// Returns [`EnqueueError`] when the target queue is full; the caller
     /// should retry after draining some completions.
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
-        let line_mask = !u64::from(self.cfg.line_bytes - 1);
-        match req.kind {
-            ReqKind::Read => {
-                if self.write_lines.contains_key(&(req.addr & line_mask)) {
-                    self.stats.forwarded_reads += 1;
-                    self.stats.reads += 1;
-                    let finish_cycle = self.clock.now() + 1;
-                    self.pending.push(
-                        finish_cycle,
-                        Completion {
-                            id: req.id,
-                            kind: ReqKind::Read,
-                            finish_cycle,
-                            enqueue_cycle: req.enqueue_cycle,
-                        },
-                    );
-                    self.quiescent = false;
-                    self.next_activity_cache.set(None);
-                    self.next_decision_cache.set(None);
-                    return Ok(());
-                }
-                if self.read_sched.len() >= self.cfg.read_queue {
-                    return Err(EnqueueError { rejected: req });
-                }
-                let decoded = self.mapping.decode(req.addr);
-                let flat_bank = decoded.flat_bank(&self.cfg) as usize;
-                let is_hit = self.banks[flat_bank].open_row == Some(decoded.row);
-                self.credit_occupancy();
-                self.read_sched.push(
-                    QueuedReq {
-                        req,
-                        decoded,
-                        flat_bank,
-                        touched: false,
-                    },
-                    is_hit,
-                );
-                // A fresh read can genuinely lower the next-issue and
-                // decision bounds — but only for its own bank.
-                self.read_bank_bound[flat_bank].set(None);
-                self.next_read_issue_cache.set(None);
-                self.decision_bank_bound[flat_bank].set(None);
-            }
+        let line = req.addr & !u64::from(self.cfg.line_bytes - 1);
+        let kind = req.kind;
+        if kind == ReqKind::Read && self.write_lines.contains_key(&line) {
+            self.stats.forwarded_reads += 1;
+            self.stats.reads += 1;
+            let finish_cycle = self.clock.now() + 1;
+            self.pending.push(
+                finish_cycle,
+                Completion {
+                    id: req.id,
+                    kind,
+                    finish_cycle,
+                    enqueue_cycle: req.enqueue_cycle,
+                },
+            );
+            return Ok(());
+        }
+        let capacity = match kind {
+            ReqKind::Read => self.cfg.read_queue,
+            ReqKind::Write => self.cfg.write_queue,
+        };
+        if self.sched(kind).len() >= capacity {
+            return Err(EnqueueError { rejected: req });
+        }
+        let decoded = self.mapping.decode(req.addr);
+        let flat_bank = decoded.flat_bank(&self.cfg) as usize;
+        let is_hit = self.banks[flat_bank].open_row == Some(decoded.row);
+        self.credit_occupancy();
+        let entry = QueuedReq {
+            req,
+            decoded,
+            flat_bank,
+            touched: false,
+        };
+        match kind {
+            ReqKind::Read => self.read_sched.push(entry, is_hit),
             ReqKind::Write => {
-                if self.write_sched.len() >= self.cfg.write_queue {
-                    return Err(EnqueueError { rejected: req });
-                }
-                let decoded = self.mapping.decode(req.addr);
-                let flat_bank = decoded.flat_bank(&self.cfg) as usize;
-                let is_hit = self.banks[flat_bank].open_row == Some(decoded.row);
-                self.credit_occupancy();
-                *self.write_lines.entry(req.addr & line_mask).or_insert(0) += 1;
-                self.write_sched.push(
-                    QueuedReq {
-                        req,
-                        decoded,
-                        flat_bank,
-                        touched: false,
-                    },
-                    is_hit,
-                );
-                self.decision_bank_bound[flat_bank].set(None);
+                *self.write_lines.entry(line).or_insert(0) += 1;
+                self.write_sched.push(entry, is_hit);
             }
         }
-        self.quiescent = false;
-        self.next_activity_cache.set(None);
-        self.next_decision_cache.set(None);
+        self.fold_enqueued(kind, flat_bank);
         // A length change can satisfy the drain predicate.
         self.drain_dirty = true;
         Ok(())
@@ -1249,15 +1212,13 @@ impl DramSystem {
         self.telemetry.decision_cycles += 1;
         self.telemetry.busy_cycles += u64::from(busy);
         // A drain-mode flip counts as activity: it changes what the next
-        // tick may issue without any timing threshold crossing, so the
-        // idle-skip must not jump over the cycle after it.
+        // tick may issue without any timing threshold crossing.
         let drain_flipped = self.update_drain_mode();
         let (refreshed, issued_hit) = if self.issue_refresh() {
             (true, None)
         } else {
             (false, self.issue_scheduled())
         };
-        let issued = refreshed || issued_hit.is_some();
         let mut done = Vec::new();
         while let Some((_, c)) = self.pending.pop_due(now) {
             done.push(c);
@@ -1283,13 +1244,6 @@ impl DramSystem {
             self.telemetry.causes.aging += 1;
         } else {
             self.telemetry.causes.noop += 1;
-        }
-        // A tick that changed nothing leaves every scheduling input
-        // waiting on a static timing threshold.
-        self.quiescent = !drain_flipped && !issued && done.is_empty();
-        if !self.quiescent {
-            self.next_activity_cache.set(None);
-            self.next_decision_cache.set(None);
         }
         done
     }
@@ -1339,9 +1293,11 @@ impl DramSystem {
             return false;
         }
         for r in 0..self.ranks.len() {
-            if now >= self.ranks[r].refresh_due {
+            if now >= self.ranks[r].refresh_due && !self.ranks[r].refresh_pending {
+                // Arming blocks the rank's scheduler commands.
                 self.ranks[r].refresh_pending = true;
                 self.refresh_pending_any = true;
+                self.forget_scans();
             }
             if !self.ranks[r].refresh_pending {
                 continue;
@@ -1387,6 +1343,7 @@ impl DramSystem {
                     .unwrap_or(u64::MAX);
                 self.refresh_pending_any = self.ranks.iter().any(|rk| rk.refresh_pending);
                 self.stats.refreshes += 1;
+                self.forget_scans();
                 return true;
             }
             return false;
@@ -1399,26 +1356,10 @@ impl DramSystem {
     /// path (column after PRE/ACT, or the PRE/ACT itself). The flag
     /// feeds the decision-cause attribution in [`Self::tick`].
     fn issue_scheduled(&mut self) -> Option<bool> {
-        let kind = if self.draining_writes {
-            ReqKind::Write
-        } else if !self.read_sched.is_empty() {
-            ReqKind::Read
-        } else {
-            return None;
-        };
-        // Hybrid dispatch: the per-bank scan wins once the queue is
-        // longer than the bank array; for short queues (the latency-bound
-        // common case) walking the few requests directly is cheaper.
-        // Both implementations are decision-identical (pinned by the
-        // differential tests), so this is purely a cost choice.
-        let q_len = self.sched(kind).len();
-        let action = match self.scheduler_mode {
-            SchedulerMode::Incremental if q_len > SMALL_QUEUE_RESCAN => {
-                self.pick_action_incremental(kind)
-            }
-            _ => self.pick_action_rescan(kind),
-        };
-        let a = action?;
+        let a = match self.scheduler_mode {
+            SchedulerMode::Incremental => self.next_sched_action(),
+            SchedulerMode::NaiveRescan => self.next_sched_action_rescan(),
+        }?;
         // Classify before applying: a column issue removes its entry.
         let row_hit = match a {
             SchedAction::Column { kind, idx } => !self.sched(kind).req(idx).touched,
@@ -1438,12 +1379,17 @@ impl DramSystem {
             .is_some_and(|(_, o)| now.saturating_sub(o.req.enqueue_cycle) > self.starvation_limit)
     }
 
-    /// The command the scheduler would issue this cycle (incremental
-    /// implementation), accounting for write-drain queue selection.
-    /// Validation seam for the differential tests.
+    /// The command the scheduler would issue this cycle (the memoized
+    /// scan), accounting for write-drain queue selection. Validation
+    /// seam for the differential tests.
     pub fn next_sched_action(&self) -> Option<SchedAction> {
-        self.sched_kind()
-            .and_then(|kind| self.pick_action_incremental(kind))
+        let now = self.clock.now();
+        let scan = self.scan(now);
+        if scan.at == now {
+            scan.action
+        } else {
+            None
+        }
     }
 
     /// As [`Self::next_sched_action`] via the retained naive full-rescan
@@ -1461,126 +1407,6 @@ impl DramSystem {
         } else {
             None
         }
-    }
-
-    /// O(banks) scheduling decision from the per-bank eligibility FIFOs.
-    ///
-    /// Within one bank, column/ACT/PRE readiness is identical for every
-    /// request of the same eligibility class, so only the front of each
-    /// class can be the first-in-arrival-order ready request — the
-    /// quantity both FR-FCFS passes select.
-    fn pick_action_incremental(&self, kind: ReqKind) -> Option<SchedAction> {
-        let q = self.sched(kind);
-        let (oldest_idx, oldest) = q.oldest()?;
-        let now = self.clock.now();
-        let starving = now.saturating_sub(oldest.req.enqueue_cycle) > self.starvation_limit;
-        // Column-issue pre-filter (reads only): a still-valid cached
-        // next-read-issue bound in the future proves no READ column
-        // command can be ready this cycle, so every hit scan below can be
-        // skipped wholesale. Purely opportunistic — the cache is consulted
-        // but never computed here (a saturated phase enqueues most ticks,
-        // so forced recomputation would cost more than the scan); the
-        // event-driven callers populate it as a side effect of their bound
-        // queries.
-        let col_possible = match kind {
-            ReqKind::Read => self.next_read_issue_cache.get().is_none_or(|c| c <= now),
-            ReqKind::Write => true,
-        };
-
-        // Pass 1 (FR-FCFS only): first-ready row hit in arrival order —
-        // the earliest-arrived ready hit-FIFO front across banks.
-        if !starving && !self.cfg.fcfs && col_possible {
-            let mut best: Option<u32> = None;
-            let mut m = q.hit_mask;
-            while m != 0 {
-                let fb = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let idx = *q.hits[fb].front().expect("masked bank has hits");
-                if best.is_some_and(|b| b < idx) {
-                    continue;
-                }
-                let e = q.req(idx as usize);
-                if self.col_cmd_ready(kind, &e.decoded, fb) {
-                    best = Some(idx);
-                }
-            }
-            if let Some(idx) = best {
-                return Some(SchedAction::Column {
-                    kind,
-                    idx: idx as usize,
-                });
-            }
-        }
-
-        // Pass 2: prepare the oldest serviceable request (PRE or ACT), or
-        // issue its column command if it is a starving / FCFS-head row
-        // hit.
-        if starving {
-            // Only the globally oldest request may act.
-            let e = oldest;
-            let fb = e.flat_bank;
-            if self.ranks[e.decoded.rank as usize].refresh_pending {
-                return None;
-            }
-            return match self.banks[fb].open_row {
-                Some(row) if row == e.decoded.row => (col_possible
-                    && self.col_cmd_ready(kind, &e.decoded, fb))
-                .then_some(SchedAction::Column {
-                    kind,
-                    idx: oldest_idx,
-                }),
-                Some(_) => (now >= self.banks[fb].next_pre)
-                    .then_some(SchedAction::Precharge { idx: oldest_idx }),
-                None => self
-                    .act_ready(&e.decoded, fb)
-                    .then_some(SchedAction::Activate { idx: oldest_idx }),
-            };
-        }
-
-        // FCFS: only the globally oldest request may issue its column
-        // command; being globally oldest, it beats every other candidate.
-        if self.cfg.fcfs && col_possible {
-            let e = oldest;
-            let fb = e.flat_bank;
-            if !self.ranks[e.decoded.rank as usize].refresh_pending
-                && self.banks[fb].open_row == Some(e.decoded.row)
-                && self.col_cmd_ready(kind, &e.decoded, fb)
-            {
-                return Some(SchedAction::Column {
-                    kind,
-                    idx: oldest_idx,
-                });
-            }
-        }
-
-        // PRE/ACT preparation: earliest-arrived ready miss-FIFO front.
-        let mut best: Option<(u32, SchedAction)> = None;
-        let mut m = q.miss_mask;
-        while m != 0 {
-            let fb = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let idx = *q.misses[fb].front().expect("masked bank has misses");
-            if best.as_ref().is_some_and(|&(b, _)| b < idx) {
-                continue;
-            }
-            let e = q.req(idx as usize);
-            if self.ranks[e.decoded.rank as usize].refresh_pending {
-                continue;
-            }
-            match self.banks[fb].open_row {
-                Some(_) => {
-                    if now >= self.banks[fb].next_pre {
-                        best = Some((idx, SchedAction::Precharge { idx: idx as usize }));
-                    }
-                }
-                None => {
-                    if self.act_ready(&e.decoded, fb) {
-                        best = Some((idx, SchedAction::Activate { idx: idx as usize }));
-                    }
-                }
-            }
-        }
-        best.map(|(_, a)| a)
     }
 
     /// The retained naive reference scheduler: a full rescan of the queue
@@ -1626,7 +1452,7 @@ impl DramSystem {
                     }
                 }
                 None => {
-                    if self.act_ready(&e.decoded, e.flat_bank) {
+                    if self.act_ready(e.flat_bank) {
                         return Some(SchedAction::Activate { idx });
                     }
                 }
@@ -1637,6 +1463,7 @@ impl DramSystem {
 
     fn apply_action(&mut self, action: SchedAction) {
         let now = self.clock.now();
+        self.forget_scans();
         // Per-bank heatmap: exactly one scheduler command per issuing
         // tick, so the bank rows sum to issue_hit + issue_miss exactly
         // (refresh-path commands are the `refresh` cause, not counted
@@ -1699,33 +1526,20 @@ impl DramSystem {
     fn on_bank_activated(&mut self, flat_bank: usize, row: u32) {
         self.read_sched.on_activate(flat_bank, row);
         self.write_sched.on_activate(flat_bank, row);
-        self.decision_bank_bound[flat_bank].set(None);
     }
 
     /// Reclassifies both queues' eligibility FIFOs after `flat_bank`
     /// closed its row (scheduler PRE or refresh-path PRE).
-    ///
-    /// The bank's decision bound is dropped explicitly: a refresh-path
-    /// PRE reclassifies hits into misses without having been a cached
-    /// candidate, and the new ACT path can be *earlier* than a cached
-    /// column bound (e.g. tRP elapsing before a long write-to-read
-    /// turnaround) — the one reclassification the ratchet argument does
-    /// not cover. Scheduler PRE/ACTs were cached candidates, so their
-    /// caches already expired; invalidating uniformly is simply cheap.
     fn on_bank_precharged(&mut self, flat_bank: usize) {
         self.read_sched.on_precharge(flat_bank);
         self.write_sched.on_precharge(flat_bank);
-        self.decision_bank_bound[flat_bank].set(None);
+        self.forget_scans();
     }
 
-    fn act_ready(&self, d: &DecodedAddr, flat_bank: usize) -> bool {
+    fn act_ready(&self, flat_bank: usize) -> bool {
         let now = self.clock.now();
-        let bank = &self.banks[flat_bank];
-        let rank = &self.ranks[d.rank as usize];
-        now >= bank.next_act
-            && now >= rank.next_act_any
-            && now >= rank.next_act_same_bg[d.bank_group as usize]
-            && now >= rank.faw_ready(self.cfg.t_faw)
+        now >= self.banks[flat_bank].next_act
+            && now >= self.groups[flat_bank >> self.bg_shift].next_act
     }
 
     fn issue_act(&mut self, d: &DecodedAddr, flat_bank: usize) {
@@ -1736,39 +1550,50 @@ impl DramSystem {
         bank.next_write = now + self.cfg.t_rcd;
         bank.next_pre = bank.next_pre.max(now + self.cfg.t_ras);
         let rank = &mut self.ranks[d.rank as usize];
-        rank.next_act_any = rank.next_act_any.max(now + self.cfg.t_rrd_s);
-        let bg = d.bank_group as usize;
-        rank.next_act_same_bg[bg] = rank.next_act_same_bg[bg].max(now + self.cfg.t_rrd_l);
         rank.record_act(now);
+        let any = (now + self.cfg.t_rrd_s).max(rank.faw_ready(self.cfg.t_faw));
+        self.ratchet_groups(d, |t| &mut t.next_act, any, now + self.cfg.t_rrd_l);
         self.stats.activates += 1;
+    }
+
+    /// Ratchets one register of every bank group of `d`'s rank to at
+    /// least `any`, and of `d`'s own group to at least `same`.
+    fn ratchet_groups(
+        &mut self,
+        d: &DecodedAddr,
+        reg: fn(&mut GroupTiming) -> &mut u64,
+        any: u64,
+        same: u64,
+    ) {
+        let base = (d.rank as usize) << self.group_shift;
+        for g in base..base + (1 << self.group_shift) {
+            let r = reg(&mut self.groups[g]);
+            *r = (*r).max(any);
+        }
+        let r = reg(&mut self.groups[base + d.bank_group as usize]);
+        *r = (*r).max(same);
     }
 
     fn col_cmd_ready(&self, kind: ReqKind, d: &DecodedAddr, flat_bank: usize) -> bool {
         let now = self.clock.now();
-        let bank = &self.banks[flat_bank];
-        let rank = &self.ranks[d.rank as usize];
-        if rank.refresh_pending {
+        if self.ranks[d.rank as usize].refresh_pending {
             return false;
         }
-        let bg = d.bank_group as usize;
+        let bank = &self.banks[flat_bank];
+        let timing = &self.groups[flat_bank >> self.bg_shift];
         let bank_ready = match kind {
-            ReqKind::Read => {
-                now >= bank.next_read
-                    && now >= rank.next_read_any
-                    && now >= rank.next_read_same_bg[bg]
-            }
+            ReqKind::Read => now >= bank.next_read && now >= timing.next_read,
             ReqKind::Write => now >= bank.next_write,
         };
-        if !bank_ready || now < rank.next_col_any || now < rank.next_col_same_bg[bg] {
+        if !bank_ready || now < timing.next_col {
             return false;
         }
         // Data bus availability with a turnaround bubble on direction or
         // rank switches.
-        let (lat, dur, dir) = match kind {
-            ReqKind::Read => (self.cfg.t_cl, self.cfg.read_burst_cycles, BusDir::Read),
-            ReqKind::Write => (self.cfg.t_cwl, self.cfg.write_burst_cycles, BusDir::Write),
+        let (lat, dir) = match kind {
+            ReqKind::Read => (self.cfg.t_cl, BusDir::Read),
+            ReqKind::Write => (self.cfg.t_cwl, BusDir::Write),
         };
-        let _ = dur;
         let bubble =
             if self.bus_dir != BusDir::Idle && (self.bus_dir != dir || self.bus_rank != d.rank) {
                 2
@@ -1800,15 +1625,15 @@ impl DramSystem {
             }
         }
         let d = entry.decoded;
-        let bg = d.bank_group as usize;
         if !entry.touched {
             self.stats.row_hits += 1;
         }
-        {
-            let rank = &mut self.ranks[d.rank as usize];
-            rank.next_col_any = rank.next_col_any.max(now + self.cfg.t_ccd_s);
-            rank.next_col_same_bg[bg] = rank.next_col_same_bg[bg].max(now + self.cfg.t_ccd_l);
-        }
+        self.ratchet_groups(
+            &d,
+            |t| &mut t.next_col,
+            now + self.cfg.t_ccd_s,
+            now + self.cfg.t_ccd_l,
+        );
         match kind {
             ReqKind::Read => {
                 let data_start = now + self.cfg.t_cl;
@@ -1839,10 +1664,12 @@ impl DramSystem {
                 let internal_end = burst_end + self.cfg.write_extra_cycles;
                 let bank = &mut self.banks[entry.flat_bank];
                 bank.next_pre = bank.next_pre.max(internal_end + self.cfg.t_wr);
-                let rank = &mut self.ranks[d.rank as usize];
-                rank.next_read_any = rank.next_read_any.max(burst_end + self.cfg.t_wtr_s);
-                rank.next_read_same_bg[bg] =
-                    rank.next_read_same_bg[bg].max(burst_end + self.cfg.t_wtr_l);
+                self.ratchet_groups(
+                    &d,
+                    |t| &mut t.next_read,
+                    burst_end + self.cfg.t_wtr_s,
+                    burst_end + self.cfg.t_wtr_l,
+                );
                 self.bus_busy_until = burst_end;
                 self.bus_dir = BusDir::Write;
                 self.bus_rank = d.rank;
@@ -1900,12 +1727,10 @@ impl DramSystem {
                         exp_misses[fb]
                     ));
                 }
-                let count = (exp_hits[fb].len() + exp_misses[fb].len()) as u32;
-                if q.bank_count[fb] != count {
-                    return Err(format!(
-                        "{label}: bank {fb} count {} != {count}",
-                        q.bank_count[fb]
-                    ));
+                if q.hit_front[fb] != exp_hits[fb].first().copied().unwrap_or(NONE)
+                    || q.miss_front[fb] != exp_misses[fb].first().copied().unwrap_or(NONE)
+                {
+                    return Err(format!("{label}: bank {fb} FIFO front wrong"));
                 }
                 if (q.hit_mask & (1 << fb) != 0) == exp_hits[fb].is_empty() {
                     return Err(format!("{label}: bank {fb} hit-mask bit wrong"));
@@ -1913,34 +1738,20 @@ impl DramSystem {
                 if (q.miss_mask & (1 << fb) != 0) == exp_misses[fb].is_empty() {
                     return Err(format!("{label}: bank {fb} miss-mask bit wrong"));
                 }
-                // Cached per-bank read-issue bounds must stay lower bounds
-                // of a fresh computation (the ratchet invariant).
-                if kind == ReqKind::Read && count > 0 {
-                    if let Some(cached) = self.read_bank_bound[fb].get() {
-                        let fresh = self.compute_bank_read_issue(fb);
-                        if cached > fresh {
-                            return Err(format!(
-                                "bank {fb} cached read bound {cached} above fresh {fresh}"
-                            ));
-                        }
-                    }
+            }
+        }
+        // A memoized scan must be what a fresh walk from the same cycle
+        // finds: every state change that can move it clears it.
+        for kind in [ReqKind::Read, ReqKind::Write] {
+            if let Some(memo) = self.scans[kind as usize].get() {
+                let mut fresh = self.walk(kind, memo.from);
+                if memo.read_min.is_some() {
+                    fresh.read_min = Some(self.read_walk());
                 }
-                // Same ratchet invariant for the per-bank decision
-                // bounds (checked once; the cache is per bank, not per
-                // queue — its own tag says which queue it was computed
-                // for). Only unexpired entries are ever consulted.
-                if kind == ReqKind::Read {
-                    if let Some((k, cached)) = self.decision_bank_bound[fb].get() {
-                        if cached > self.clock.now() {
-                            let fresh = self.compute_bank_decision(k, fb);
-                            if cached > fresh {
-                                return Err(format!(
-                                    "bank {fb} cached {k:?} decision bound {cached} \
-                                     above fresh {fresh}"
-                                ));
-                            }
-                        }
-                    }
+                if memo != fresh {
+                    return Err(format!(
+                        "memoized {kind:?} scan {memo:?} != fresh walk {fresh:?}"
+                    ));
                 }
             }
         }

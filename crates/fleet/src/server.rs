@@ -154,8 +154,7 @@ fn handle_connection(stream: TcpStream, dispatcher: &Dispatcher, shutdown: &Flee
         };
         match request.get("cmd").and_then(Json::as_str) {
             Some("submit") => {
-                let response = handle_submit(&request, dispatcher, &writer);
-                if write_line(&writer, &response).is_err() {
+                if handle_submit(&request, dispatcher, &writer).is_err() {
                     return;
                 }
             }
@@ -227,35 +226,43 @@ fn handle_connection(stream: TcpStream, dispatcher: &Dispatcher, shutdown: &Flee
     }
 }
 
-fn handle_submit(request: &Json, dispatcher: &Dispatcher, writer: &Arc<Mutex<TcpStream>>) -> Json {
+/// Submits the request's spec and writes the response. The `submitted`
+/// ack goes out before the job's event forwarder starts, so no event of
+/// the job can reach the client ahead of its ack.
+fn handle_submit(
+    request: &Json,
+    dispatcher: &Dispatcher,
+    writer: &Arc<Mutex<TcpStream>>,
+) -> std::io::Result<()> {
     let Some(spec_json) = request.get("spec") else {
-        return error_json("submit needs a \"spec\" member");
+        return write_line(writer, &error_json("submit needs a \"spec\" member"));
     };
     let spec = match JobSpec::from_json(spec_json) {
         Ok(spec) => spec,
-        Err(e) => return error_json(e.to_string()),
+        Err(e) => return write_line(writer, &error_json(e.to_string())),
     };
-    match dispatcher.submit(&spec) {
-        Ok(handle) => {
-            let job = handle.id;
-            let cells = handle.cells;
-            let writer = Arc::clone(writer);
-            // One forwarder per job keeps per-job event order on the
-            // wire; the shared writer lock serializes whole lines.
-            std::thread::spawn(move || {
-                while let Some(event) = handle.next_event() {
-                    if write_line(&writer, &event).is_err() {
-                        return; // client gone; the dispatcher keeps the
-                                // job (its cells still fill the store)
-                    }
-                }
-            });
-            Json::Obj(vec![
-                ("type".into(), Json::str("submitted")),
-                ("job".into(), Json::u64(job)),
-                ("cells".into(), Json::u64(cells as u64)),
-            ])
+    let handle = match dispatcher.submit(&spec) {
+        Ok(handle) => handle,
+        Err(e) => return write_line(writer, &error_json(e)),
+    };
+    let ack = Json::Obj(vec![
+        ("type".into(), Json::str("submitted")),
+        ("job".into(), Json::u64(handle.id)),
+        ("cells".into(), Json::u64(handle.cells as u64)),
+    ]);
+    // A failed ack means the client is gone; the dispatcher keeps the
+    // job (its cells still fill the store).
+    write_line(writer, &ack)?;
+    let writer = Arc::clone(writer);
+    // One forwarder per job keeps per-job event order on the wire; the
+    // shared writer lock serializes whole lines.
+    std::thread::spawn(move || {
+        while let Some(event) = handle.next_event() {
+            if write_line(&writer, &event).is_err() {
+                return; // client gone; the dispatcher keeps the
+                        // job (its cells still fill the store)
+            }
         }
-        Err(e) => error_json(e),
-    }
+    });
+    Ok(())
 }

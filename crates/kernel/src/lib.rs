@@ -250,28 +250,13 @@ impl<T: Eq> EventQueue<T> {
     }
 }
 
-/// Folds a candidate next-event time into a running lower bound, keeping
-/// only candidates strictly after `now`.
-///
-/// Helper for the per-layer "earliest possible activity" computations: a
-/// threshold at or before `now` is already satisfied and cannot be what
-/// the layer is waiting on.
-#[inline]
-pub fn fold_next_event(now: u64, bound: &mut u64, candidate: u64) {
-    if candidate > now && candidate < *bound {
-        *bound = candidate;
-    }
-}
-
 /// Folds a candidate threshold into a running lower bound, clamping
 /// candidates at or before `now` to `now + 1`.
 ///
 /// Helper for *decision* bounds, where an already-satisfied threshold
 /// means the decision could fire on the very next tick (it may merely be
 /// deprioritized right now, e.g. a precharge losing the command slot to a
-/// column burst) — unlike [`fold_next_event`], which drops past-due
-/// candidates because a *quiescent* layer is by definition not waiting on
-/// them.
+/// column burst).
 #[inline]
 pub fn fold_ready_event(now: u64, bound: &mut u64, candidate: u64) {
     let candidate = candidate.max(now + 1);
@@ -339,16 +324,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         let _ = q.pop_due(1);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn fold_next_event_keeps_earliest_future_candidate() {
-        let mut bound = u64::MAX;
-        fold_next_event(10, &mut bound, 9); // past: ignored
-        fold_next_event(10, &mut bound, 10); // present: ignored
-        fold_next_event(10, &mut bound, 40);
-        fold_next_event(10, &mut bound, 25);
-        assert_eq!(bound, 25);
     }
 
     #[test]

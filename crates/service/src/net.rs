@@ -348,8 +348,7 @@ fn handle_connection(stream: TcpStream, service: &ExperimentService, shutdown: &
         };
         match request.get("cmd").and_then(Json::as_str) {
             Some("submit") => {
-                let response = handle_submit(&request, service, &writer);
-                if write_line(&writer, &response).is_err() {
+                if handle_submit(&request, service, &writer).is_err() {
                     return;
                 }
             }
@@ -407,43 +406,49 @@ fn handle_connection(stream: TcpStream, service: &ExperimentService, shutdown: &
     }
 }
 
+/// Submits the request's spec and writes the response. The `submitted`
+/// ack goes out before the job's event forwarder starts, so no event of
+/// the job can reach the client ahead of its ack.
 fn handle_submit(
     request: &Json,
     service: &ExperimentService,
     writer: &Arc<Mutex<TcpStream>>,
-) -> Json {
+) -> std::io::Result<()> {
     let Some(spec_json) = request.get("spec") else {
-        return error_json("submit needs a \"spec\" member");
+        return write_line(writer, &error_json("submit needs a \"spec\" member"));
     };
     let spec = match JobSpec::from_json(spec_json) {
         Ok(spec) => spec,
-        Err(e) => return error_json(e.to_string()),
+        Err(e) => return write_line(writer, &error_json(e.to_string())),
     };
     let cells = spec.cell_count().map_or(0, |c| c as u64);
-    match service.submit(spec) {
-        Ok(handle) => {
-            let job = handle.id().0;
-            let writer = Arc::clone(writer);
-            // One forwarder per job keeps per-job event order on the
-            // wire; the shared writer lock serializes whole lines.
-            std::thread::spawn(move || {
-                for event in handle.events() {
-                    if write_line(&writer, &event_to_json(&event)).is_err() {
-                        // Client gone: cancel so the worker stops
-                        // burning cycles on unobservable results.
-                        handle.cancel();
-                        return;
-                    }
-                }
-            });
-            Json::Obj(vec![
-                ("type".into(), Json::str("submitted")),
-                ("job".into(), Json::u64(job)),
-                ("cells".into(), Json::u64(cells)),
-            ])
-        }
-        Err(e) => error_json(e.to_string()),
+    let handle = match service.submit(spec) {
+        Ok(handle) => handle,
+        Err(e) => return write_line(writer, &error_json(e.to_string())),
+    };
+    let ack = Json::Obj(vec![
+        ("type".into(), Json::str("submitted")),
+        ("job".into(), Json::u64(handle.id().0)),
+        ("cells".into(), Json::u64(cells)),
+    ]);
+    if let Err(e) = write_line(writer, &ack) {
+        handle.cancel();
+        return Err(e);
     }
+    let writer = Arc::clone(writer);
+    // One forwarder per job keeps per-job event order on the wire; the
+    // shared writer lock serializes whole lines.
+    std::thread::spawn(move || {
+        for event in handle.events() {
+            if write_line(&writer, &event_to_json(&event)).is_err() {
+                // Client gone: cancel so the worker stops burning cycles
+                // on unobservable results.
+                handle.cancel();
+                return;
+            }
+        }
+    });
+    Ok(())
 }
 
 /// A parsed server→client line.

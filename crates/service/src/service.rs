@@ -3,23 +3,20 @@
 //!
 //! One submitted spec becomes one pool job that runs its benchmark ×
 //! configuration cells in order, emitting an event as each cell
-//! completes. The execution paths are exactly the library's own —
-//! [`run_trace_with_options`] for the 1-core/1-channel shape,
-//! `CpuSystem` over [`ShardedEngine`] for multi-channel, and
-//! [`MultiCoreSystem`] rate mode for multi-core — so service results are
-//! bit-identical to direct calls (pinned by
-//! `tests/service_differential.rs`).
+//! completes. Every shape runs on one path, [`MultiCoreSystem`] rate
+//! mode over a [`ShardedEngine`]; for one core over one channel that is
+//! bit-identical to `run_trace_with_options`, so service results match
+//! direct library calls (pinned by `tests/service_differential.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cpu_model::{CpuSystem, SimResult};
+use cpu_model::SimResult;
 use secddr_channels::ShardedEngine;
 use secddr_core::engine::EngineStats;
 use secddr_core::metadata::DATA_SPAN;
-use secddr_core::system::run_trace_with_options;
 use secddr_multicore::{CoreTrace, MultiCoreSystem};
 use secddr_telemetry::{Registry, SeriesSnapshot, TelemetrySnapshot};
 use workloads::{Benchmark, TraceCacheStats};
@@ -559,54 +556,37 @@ fn run_job(
 /// shape. Traces come from [`Benchmark::generate_shared`], so repeated
 /// specs hit the warm in-process cache (and restarts hit the disk tier).
 ///
-/// When the spec set a nonzero `epoch_width` the sharded and multi-core
-/// shapes also return the cell's sim-time series (scheduler and channel
-/// layers merged). The bare 1-core/1-channel path stays exactly
-/// `run_trace_with_options` — results bit-identical to direct calls
-/// outweigh series coverage there, so it records nothing.
+/// Every shape, 1×1 included, runs on [`MultiCoreSystem`] over a
+/// [`ShardedEngine`]: one core over one channel is bit-identical to
+/// `run_trace_with_options` and rides the next-event scheduler. When
+/// the spec set a nonzero `epoch_width` the cell also returns its
+/// sim-time series (scheduler and channel layers merged).
 fn run_cell(
     bench: &Benchmark,
     config: &secddr_core::config::SecurityConfig,
     spec: &JobSpec,
 ) -> (CellResult, Option<SeriesSnapshot>) {
     let trace = bench.generate_shared(spec.instructions, spec.seed);
-    let options = spec.options;
     let cpu_cfg = spec.cpu_config();
-    let (per_core, engine, series) = if spec.cores == 1 && spec.channels == 1 {
-        let r = run_trace_with_options(bench, &trace, config, options);
-        (vec![r.sim], r.engine, None)
-    } else if spec.cores == 1 {
-        let mut engine =
-            ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), options);
-        if spec.epoch_width > 0 {
-            engine.enable_series(spec.epoch_width);
-        }
-        let mut sys = CpuSystem::new(cpu_cfg, engine);
-        let sim = sys.run(trace.iter().copied());
-        let series = sys.backend_mut().series_snapshot();
-        (vec![sim], sys.backend_mut().stats(), series)
-    } else {
-        let mut engine =
-            ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), options);
-        if spec.epoch_width > 0 {
-            engine.enable_series(spec.epoch_width);
-        }
-        let mut sys = MultiCoreSystem::new(spec.cores, cpu_cfg, engine);
-        if spec.epoch_width > 0 {
-            sys.enable_series(spec.epoch_width);
-        }
-        let result = sys.run(CoreTrace::rate(&trace, DATA_SPAN, spec.cores));
-        let mut series = sys.backend_mut().series_snapshot();
-        if let (Some(series), Some(scheduler)) = (&mut series, sys.series_snapshot()) {
-            series.merge(&scheduler);
-        }
-        (result.per_core, sys.backend_mut().stats(), series)
-    };
+    let mut engine =
+        ShardedEngine::with_options(*config, cpu_cfg.clock_mhz, spec.interleave(), spec.options);
+    if spec.epoch_width > 0 {
+        engine.enable_series(spec.epoch_width);
+    }
+    let mut sys = MultiCoreSystem::new(spec.cores, cpu_cfg, engine);
+    if spec.epoch_width > 0 {
+        sys.enable_series(spec.epoch_width);
+    }
+    let run = sys.run(CoreTrace::rate(&trace, DATA_SPAN, spec.cores));
+    let mut series = sys.backend_mut().series_snapshot();
+    if let (Some(series), Some(scheduler)) = (&mut series, sys.series_snapshot()) {
+        series.merge(&scheduler);
+    }
     let result = CellResult {
         benchmark: bench.name().to_string(),
         config: config.label(),
-        per_core,
-        engine,
+        per_core: run.per_core,
+        engine: sys.backend_mut().stats(),
     };
     (result, series)
 }

@@ -40,10 +40,9 @@ pub struct JobSpec {
     pub configs: Vec<SecurityConfig>,
     /// Engine ablation knobs and the clock-advance policy.
     pub options: EngineOptions,
-    /// Core count (1 = the bare `CpuSystem`; >1 = rate mode over a
-    /// shared LLC and backend).
+    /// Core count (>1 = rate mode over a shared LLC and backend).
     pub cores: usize,
-    /// Memory channel count (1 = the bare engine; >1 = `ShardedEngine`).
+    /// Memory channel count (address-interleaved by `ShardedEngine`).
     pub channels: usize,
     /// Instruction budget per benchmark (per core in rate mode).
     pub instructions: u64,
@@ -53,8 +52,7 @@ pub struct JobSpec {
     pub priority: i8,
     /// Sim-time series epoch width in CPU cycles; 0 disables series
     /// recording (the default — recording stores per-job series the
-    /// `series` endpoint serves). Only the sharded and multi-core
-    /// shapes record; the bare 1-core/1-channel path has no series.
+    /// `series` endpoint serves). Every shape records.
     pub epoch_width: u64,
 }
 

@@ -245,3 +245,32 @@ proptest! {
         prop_assert_eq!(bumped.content_hash(), hash, "priority is excluded");
     }
 }
+
+/// Every shape runs on one path, so a 1×1 cell with an epoch width now
+/// records its series too, and its results stay bit-identical to the
+/// direct run.
+#[test]
+fn single_core_single_channel_records_series() {
+    let service = ExperimentService::with_threads(1);
+    let mut job = spec("mcf", 1, 1);
+    job.epoch_width = 2_048;
+    let handle = service.submit(job).unwrap();
+    let id = handle.id();
+    let outcome = handle.wait();
+    assert!(outcome.finished());
+    let series = service.job_series(id).expect("1x1 cell records its series");
+    assert_eq!(series.epoch_width, 2_048);
+    assert!(series.row_total("dram.decisions_total") > 0);
+    assert!(series.row_total("multicore.core.steps") > 0);
+
+    let bench = Benchmark::by_name("mcf").unwrap();
+    let trace = bench.generate(INSTRS, SEED);
+    let direct = run_trace_with_options(
+        &bench,
+        &trace,
+        &SecurityConfig::secddr_ctr(),
+        EngineOptions::default(),
+    );
+    assert_eq!(outcome.cells[0].per_core, vec![direct.sim]);
+    assert_eq!(outcome.cells[0].engine, direct.engine);
+}

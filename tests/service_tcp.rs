@@ -224,3 +224,67 @@ fn malformed_requests_keep_the_connection_alive() {
     client.shutdown_server().expect("shutdown");
     server.join().expect("serve thread").expect("clean exit");
 }
+
+/// Regression: the server writes a job's `submitted` ack before its
+/// event forwarder can emit anything. Many tiny jobs submitted back to
+/// back on one raw connection: every event line must name a job whose
+/// ack already arrived, and every job must reach `finished`.
+#[test]
+fn submitted_ack_precedes_every_event_of_its_job() {
+    use secddr::service::Json;
+    use std::collections::HashSet;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    const JOBS: usize = 200;
+    let _guard = serialize();
+    let (addr, server) = start_server(2);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    let submit = Json::Obj(vec![
+        ("cmd".into(), Json::str("submit")),
+        ("spec".into(), tiny_spec("povray", 200).to_json()),
+    ]);
+    let mut batch = String::new();
+    for _ in 0..JOBS {
+        batch.push_str(&submit.to_string());
+        batch.push('\n');
+    }
+    stream.write_all(batch.as_bytes()).expect("send submits");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut acked = HashSet::new();
+    let mut finished = 0;
+    let mut line = String::new();
+    while finished < JOBS {
+        line.clear();
+        let n = reader.read_line(&mut line).expect("event line");
+        assert!(
+            n > 0,
+            "server closed after {finished} of {JOBS} jobs finished"
+        );
+        let event = Json::parse(line.trim()).expect("json line");
+        let kind = event
+            .get("type")
+            .and_then(Json::as_str)
+            .expect("typed line");
+        let job = event.get("job").and_then(Json::as_u64).expect("job id");
+        if kind == "submitted" {
+            assert!(acked.insert(job), "job {job} acked twice");
+            continue;
+        }
+        assert!(
+            acked.contains(&job),
+            "{kind} event of job {job} before its ack"
+        );
+        if kind == "finished" {
+            finished += 1;
+        }
+    }
+    let bye = Json::Obj(vec![("cmd".into(), Json::str("shutdown"))]);
+    stream
+        .write_all(format!("{bye}\n").as_bytes())
+        .expect("send shutdown");
+    server.join().expect("serve thread").expect("clean exit");
+}

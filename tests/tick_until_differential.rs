@@ -181,3 +181,40 @@ fn tick_until_preserves_refresh_timing_over_long_spans() {
         fast_s.cycles
     );
 }
+
+/// The n16 rate shape (mcf × SecDDR+CTR, 16 cores over a 4-channel
+/// xor-interleaved `ShardedEngine`) run event-driven: while the oldest
+/// request starves only its own command counts, so the aging bound no
+/// longer wakes the controllers into executed no-op ticks.
+#[test]
+fn rate_n16_aging_stays_below_one_percent_of_decisions() {
+    use secddr::core::config::SecurityConfig;
+    use secddr::core::engine::EngineOptions;
+    use secddr::core::metadata::DATA_SPAN;
+    use secddr::cpu::CpuConfig;
+    use secddr::workloads::Benchmark;
+    use secddr::{CoreTrace, Interleave, MultiCoreSystem, ShardedEngine};
+
+    const CORES: usize = 16;
+    let trace = Benchmark::by_name("mcf")
+        .expect("mcf exists")
+        .generate_shared(4_000, 1);
+    let cpu = CpuConfig::default();
+    let engine = ShardedEngine::with_options(
+        SecurityConfig::secddr_ctr(),
+        cpu.clock_mhz,
+        Interleave::xor(4),
+        EngineOptions::default(),
+    );
+    let mut sys = MultiCoreSystem::new(CORES, cpu, engine);
+    sys.run(CoreTrace::rate(&trace, DATA_SPAN, CORES));
+    let t = sys.backend_mut().dram_telemetry();
+    assert!(t.decision_cycles > 10_000, "{}", t.decision_cycles);
+    assert_eq!(t.causes.total(), t.decision_cycles);
+    assert!(
+        t.causes.aging * 100 < t.decision_cycles,
+        "aging {} of {} decisions",
+        t.causes.aging,
+        t.decision_cycles
+    );
+}
