@@ -17,8 +17,9 @@
 //!   `submit` call per access on the bare engine, with identical
 //!   statistics asserted before timing is reported.
 //! * **shard_scaling_nN** (N = 1, 2, 4, 8) — the pointer-chase workload
-//!   through `CpuSystem` over a `ShardedEngine` with N interleaved
-//!   channels, per-cycle vs event-driven. Per-shard traffic thins as N
+//!   through `CpuSystem` (the core scheduler with one core) over a
+//!   `ShardedEngine` with N interleaved channels, per-cycle vs
+//!   event-driven. Per-shard traffic thins as N
 //!   grows, so per-shard idle windows *widen* and the event-driven
 //!   speedup must not shrink under sharding. The N=1 sharded run is
 //!   asserted bit-identical to the bare unsharded engine (reported as
@@ -29,8 +30,9 @@
 //!   steps every cycle) vs the event-driven awake-list scheduler. Each
 //!   N's event-driven run is asserted bit-identical to its per-cycle
 //!   reference, and the single-core `MultiCoreSystem` is asserted
-//!   bit-identical to the bare `CpuSystem` over the same backend and
-//!   trace (reported as `multicore_n1_matches_single`, gated in CI).
+//!   bit-identical to the one-core `CpuSystem` front over the same
+//!   backend and trace (reported as `multicore_n1_matches_single`, gated
+//!   in CI).
 //!   These records also carry `per_cycle_core_steps` /
 //!   `event_driven_core_steps` — the summed number of times any core was
 //!   actually stepped, the scheduler-efficiency measure wall-clock
@@ -410,16 +412,17 @@ fn multicore_run(
 /// 4-channel `ShardedEngine`), ABBA-ordered per N. Asserts along the way
 /// that each N's event-driven core scheduler matches its per-cycle
 /// reference and that the single-core `MultiCoreSystem` is bit-identical
-/// to the bare `CpuSystem` over the same backend and trace stream.
+/// to the one-core `CpuSystem` front over the same backend and trace
+/// stream.
 fn multicore_records(params: RunParams) -> Vec<Record> {
     let bench = workloads::Benchmark::by_name("mcf").expect("mcf exists");
     // Shared (memoized) rate-mode trace: every core of every N iterates
     // this one allocation.
     let trace = bench.generate_shared(params.instructions, params.seed);
 
-    // Single-core baseline for the N=1 identity gate: the monolithic
-    // CpuSystem over an identically built backend, fed the same
-    // window-mapped trace stream (event-driven, the default options).
+    // Single-core baseline for the N=1 identity gate: `CpuSystem` over
+    // an identically built backend, fed the same window-mapped trace
+    // stream (event-driven, the default options).
     let single = {
         let options = EngineOptions::default();
         let cpu_cfg = CpuConfig {
@@ -462,16 +465,13 @@ fn multicore_records(params: RunParams) -> Vec<Record> {
         if n == 1 {
             assert_eq!(
                 fast_res.0.per_core[0], single.0,
-                "multicore N=1 SimResult != bare CpuSystem"
+                "multicore N=1 SimResult != CpuSystem"
             );
             assert_eq!(
                 fast_res.1, single.1,
-                "multicore N=1 EngineStats != bare CpuSystem"
+                "multicore N=1 EngineStats != CpuSystem"
             );
-            assert_eq!(
-                fast_res.2, single.2,
-                "multicore N=1 DramStats != bare CpuSystem"
-            );
+            assert_eq!(fast_res.2, single.2, "multicore N=1 DramStats != CpuSystem");
         }
         let adv = fast_t.controller;
         assert!(

@@ -12,7 +12,7 @@
 //! ([`sim_kernel::EventQueue`] with lazy staleness filtering), and
 //! [`MemoryBackend::tick`] steps **only the shards whose bound is due**.
 //! A shard whose bound is in the future provably has nothing observable
-//! to report (the bound contract `CpuSystem` already relies on), so its
+//! to report (the bound contract the core scheduler relies on), so its
 //! channel clock is left lagging and caught up wholesale on its next
 //! interaction — the per-shard idle windows that grow with N are skipped
 //! at the top level instead of being re-proven per shard per cycle.

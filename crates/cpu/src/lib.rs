@@ -5,14 +5,18 @@
 //! paper measures come from three places that this model captures:
 //!
 //! 1. **Memory-level parallelism limits** — a 224-entry ROB, 6-wide
-//!    dispatch/retire core ([`core::OooCore`]) that stalls when outstanding
-//!    long-latency loads fill the window.
+//!    dispatch/retire core (`CoreEngine`, sized by [`CpuConfig`])
+//!    that stalls when outstanding long-latency loads fill the window.
 //! 2. **Cache hierarchy behaviour** — private 32 KB L1D and a shared 4 MB
 //!    16-way LLC with a stream prefetcher ([`cache`], [`prefetcher`]).
 //! 3. **Extra memory traffic and latency injected by the security engine**
 //!    — abstracted behind the [`MemoryBackend`] trait, which the
 //!    `secddr-core` crate implements for each evaluated configuration
 //!    (integrity tree, SecDDR, encrypt-only, InvisiMem).
+//!
+//! One next-event scheduler ([`scheduler::MultiCoreSystem`]) drives 1..N
+//! cores over a shared LLC and backend; [`CpuSystem`] is that scheduler
+//! built with one core.
 //!
 //! # Example
 //!
@@ -37,15 +41,19 @@
 
 pub mod cache;
 pub mod core;
-pub mod exec;
+mod exec;
 pub mod prefetcher;
+pub mod scheduler;
+mod series;
 pub mod system;
 pub mod trace;
+mod wake;
 
 pub use crate::core::CpuConfig;
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use exec::{CoreEngine, StepOutcome};
 pub use prefetcher::StreamPrefetcher;
+pub use scheduler::{MultiCoreResult, MultiCoreSystem};
 pub use sim_kernel::Advance;
 pub use system::{AccessKind, CpuSystem, FixedLatencyBackend, MemoryBackend, SimResult};
 pub use trace::TraceOp;
+pub use wake::WakeReasons;

@@ -1,12 +1,13 @@
-//! N OOO cores sharing one LLC and one memory backend behind a true
-//! next-event scheduler.
+//! The core scheduler: N OOO cores sharing one LLC and one memory
+//! backend behind a true next-event scheduler. It serves every core
+//! count, one included — [`crate::CpuSystem`] is this scheduler built
+//! with one core.
 //!
-//! [`MultiCoreSystem`] owns N [`CoreEngine`]s (each a private ROB, L1D
-//! and stream prefetcher — the machinery extracted from `CpuSystem`),
-//! one shared LLC, and one [`MemoryBackend`]. Completed read tokens are
-//! routed to their owning cores, so the backend is oblivious to the core
-//! count — exactly the seam `ShardedEngine` already presents to a single
-//! core, which is what makes cores × channels compose
+//! [`MultiCoreSystem`] owns N `CoreEngine`s (each a private ROB, L1D
+//! and stream prefetcher), one shared LLC, and one [`MemoryBackend`].
+//! Completed read tokens are routed to their owning cores, so the
+//! backend is oblivious to the core count — the same seam a multi-channel
+//! backend presents, which is what makes cores × channels compose
 //! (`MultiCoreSystem<ShardedEngine>` works unchanged).
 //!
 //! # Scheduling
@@ -26,13 +27,12 @@
 //!   one indexed load, no hashing);
 //! * a **merged event heap** — sleeping cores register wake-up bounds in
 //!   a [`sim_kernel::EventQueue`] with lazy staleness filtering
-//!   ([`sim_kernel::EventQueue::peek`] inspects without the old
-//!   pop-then-push round trip). Whenever the awake-list is empty the
-//!   clock jumps straight to the earlier of the heap head and the
-//!   backend bound — idle windows cost one peek even when only *some*
-//!   cores ever sleep.
+//!   ([`sim_kernel::EventQueue::peek`] inspects without a pop-then-push
+//!   round trip). Whenever the awake-list is empty the clock jumps
+//!   straight to the earlier of the heap head and the backend bound —
+//!   idle windows cost one peek even when only *some* cores ever sleep.
 //!
-//! Sleeps come in two kinds, classified by [`CoreEngine::sleep_plan`].
+//! Sleeps come in two kinds, classified by `CoreEngine::sleep_plan`.
 //! *Exact* sleeps (no backend-capacity involvement) wait only on the
 //! core's own routed completions and its in-order retire cycle — they
 //! never fire spuriously and stay valid across other cores' activity.
@@ -45,22 +45,23 @@
 //! [`sim_kernel::Advance::PerCycle`], where every core steps every cycle
 //! against a backend ticked every cycle.
 //!
-//! The backend side of each jump is block-advanced too: since PR 7 the
-//! DDR4 controllers ride their exact *decision bound*
+//! The backend side of each jump is block-advanced too: the DDR4
+//! controllers ride their exact *decision bound*
 //! (`DramSystem::tick_until`), executing only the cycles where a
-//! command can issue or a completion pop. Saturated phases — where both
-//! policies used to converge on one controller tick per busy DRAM
-//! cycle — therefore no longer floor the wall-clock; the per-record
+//! command can issue or a completion pop. The per-record
 //! `controller_decision_cycles` / `controller_busy_cycles` counters in
-//! `BENCH_kernel.json` measure exactly this gap.
+//! `BENCH_kernel.json` measure that gap.
 
-use cpu_model::exec::{CoreEngine, SleepPlan};
-use cpu_model::system::{AccessKind, BatchAccess, Busy, MemoryBackend};
-use cpu_model::{Cache, CacheConfig, CacheStats, CpuConfig, SimResult, TraceOp};
 use secddr_telemetry::TelemetrySnapshot;
 use sim_kernel::{EventQueue, SimClock};
 
-use crate::telemetry::WakeReasons;
+use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::core::CpuConfig;
+use crate::exec::{CoreEngine, SleepPlan};
+use crate::series::MulticoreSeries;
+use crate::system::{AccessKind, BatchAccess, Busy, MemoryBackend, SimResult};
+use crate::trace::TraceOp;
+use crate::wake::WakeReasons;
 
 /// Sentinel in the token→core table: no routing entry (writes, and
 /// tokens whose completion was already delivered).
@@ -231,7 +232,7 @@ pub struct MultiCoreSystem<B> {
     wake: WakeReasons,
     /// Opt-in sim-time windowed series recorder (see [`crate::series`]);
     /// `None` costs one branch per cycle and nothing else.
-    series: Option<crate::series::MulticoreSeries>,
+    series: Option<MulticoreSeries>,
 }
 
 impl<B: MemoryBackend> MultiCoreSystem<B> {
@@ -267,7 +268,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     ///
     /// Panics if `epoch_width` is zero.
     pub fn enable_series(&mut self, epoch_width: u64) {
-        self.series = Some(crate::series::MulticoreSeries::new(
+        self.series = Some(MulticoreSeries::new(
             epoch_width,
             &self.wake,
             &self.core_steps,
@@ -340,8 +341,7 @@ impl<B: MemoryBackend> MultiCoreSystem<B> {
     ///
     /// Calling `run` again continues cumulatively: the clock keeps
     /// advancing, the shared LLC and per-core caches stay warm, and
-    /// counters accumulate across runs (the single-core `CpuSystem`
-    /// re-run semantics, per core).
+    /// counters accumulate across runs.
     ///
     /// # Panics
     ///
@@ -646,9 +646,8 @@ fn earliest_wake(heap: &mut EventQueue<usize>, bounds: &[u64]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{AddressSpace, CoreTrace};
-    use cpu_model::{Advance, CpuSystem, FixedLatencyBackend};
-    use std::sync::Arc;
+    use crate::system::FixedLatencyBackend;
+    use sim_kernel::Advance;
 
     fn mixed_trace(seed: u64, len: u64) -> Vec<TraceOp> {
         (0..len)
@@ -665,24 +664,18 @@ mod tests {
             .collect()
     }
 
+    /// `cores` identical iterators over `trace`.
+    fn copies(
+        trace: &[TraceOp],
+        cores: usize,
+    ) -> Vec<std::iter::Copied<std::slice::Iter<'_, TraceOp>>> {
+        (0..cores).map(|_| trace.iter().copied()).collect()
+    }
+
     fn cfg(advance: Advance) -> CpuConfig {
         CpuConfig {
             advance,
             ..CpuConfig::default()
-        }
-    }
-
-    #[test]
-    fn single_core_matches_cpusystem() {
-        let trace = mixed_trace(0xA5, 3_000);
-        for advance in [Advance::ToNextEvent, Advance::PerCycle] {
-            let single = CpuSystem::new(cfg(advance), FixedLatencyBackend::new(180))
-                .run(trace.iter().copied());
-            let mut multi = MultiCoreSystem::new(1, cfg(advance), FixedLatencyBackend::new(180));
-            let result = multi.run(vec![trace.iter().copied()]);
-            assert_eq!(result.per_core.len(), 1);
-            assert_eq!(result.per_core[0], single, "{advance:?}");
-            assert_eq!(result.merged(), single, "{advance:?}");
         }
     }
 
@@ -698,11 +691,11 @@ mod tests {
 
     #[test]
     fn rate_mode_retires_every_copy() {
-        let trace = Arc::new(mixed_trace(3, 2_000));
+        let trace = mixed_trace(3, 2_000);
         let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
         let mut sys =
             MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(200));
-        let result = sys.run(CoreTrace::rate(&trace, 1 << 32, 4));
+        let result = sys.run(copies(&trace, 4));
         assert_eq!(result.per_core.len(), 4);
         for r in &result.per_core {
             assert_eq!(r.instructions, per_copy);
@@ -716,10 +709,10 @@ mod tests {
 
     #[test]
     fn per_core_llc_shares_sum_to_shared_totals() {
-        let trace = Arc::new(mixed_trace(11, 3_000));
+        let trace = mixed_trace(11, 3_000);
         let mut sys =
             MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let result = sys.run(CoreTrace::rate(&trace, 1 << 32, 4));
+        let result = sys.run(copies(&trace, 4));
         let merged = result.merged();
         assert_eq!(&merged.llc, sys.llc_stats());
         assert!(merged.llc.misses > 0);
@@ -730,11 +723,13 @@ mod tests {
         // No memory traffic: each core's run is as long as it would be
         // alone, and the scheduler still terminates via the global jump.
         let trace: Vec<TraceOp> = (0..200).map(|_| TraceOp::Compute(60)).collect();
-        let alone = CpuSystem::new(cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100))
-            .run(trace.iter().copied());
+        let alone =
+            MultiCoreSystem::new(1, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100))
+                .run(copies(&trace, 1))
+                .merged();
         let mut sys =
             MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100));
-        let result = sys.run((0..4).map(|_| trace.iter().copied()).collect());
+        let result = sys.run(copies(&trace, 4));
         for r in &result.per_core {
             assert_eq!(r.cycles, alone.cycles);
             assert_eq!(r.instructions, alone.instructions);
@@ -743,14 +738,11 @@ mod tests {
 
     #[test]
     fn heterogeneous_mix_produces_per_core_results() {
-        let a = Arc::new(mixed_trace(1, 1_500));
-        let b = Arc::new((0..500).map(|_| TraceOp::Compute(50)).collect::<Vec<_>>());
+        let a = mixed_trace(1, 1_500);
+        let b: Vec<TraceOp> = (0..500).map(|_| TraceOp::Compute(50)).collect();
         let mut sys =
             MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(220));
-        let result = sys.run(CoreTrace::mix(
-            vec![Arc::clone(&a), Arc::clone(&b)],
-            1 << 32,
-        ));
+        let result = sys.run(vec![a.iter().copied(), b.iter().copied()]);
         let ia: u64 = a.iter().map(TraceOp::instructions).sum();
         let ib: u64 = b.iter().map(TraceOp::instructions).sum();
         assert_eq!(result.per_core[0].instructions, ia);
@@ -785,35 +777,13 @@ mod tests {
     }
 
     #[test]
-    fn identity_address_space_shares_lines_across_cores() {
-        // Core 0 fetches a line; core 1 touches the same trace address
-        // much later (after a long compute ramp). With the identity
-        // disambiguator core 1 hits the line core 0 installed in the
-        // shared LLC; with per-core windows the addresses are disjoint
-        // and both cores miss.
-        let early = Arc::new(vec![TraceOp::Load(0x40_0000)]);
-        let late = Arc::new(vec![TraceOp::Compute(6_000), TraceOp::Load(0x40_0000)]);
-        let misses_with = |space: AddressSpace| {
-            let mut sys =
-                MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100));
-            let traces = vec![
-                CoreTrace::new(Arc::clone(&early), 0, space),
-                CoreTrace::new(Arc::clone(&late), 1, space),
-            ];
-            sys.run(traces).merged().llc.misses
-        };
-        assert_eq!(misses_with(AddressSpace::identity()), 1);
-        assert_eq!(misses_with(AddressSpace::windows(1 << 32, 2)), 2);
-    }
-
-    #[test]
     fn second_run_continues_cumulatively() {
-        let trace = Arc::new(mixed_trace(9, 800));
+        let trace = mixed_trace(9, 800);
         let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
         let mut sys =
             MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let r1 = sys.run(CoreTrace::rate(&trace, 1 << 32, 2));
-        let r2 = sys.run(CoreTrace::rate(&trace, 1 << 32, 2));
+        let r1 = sys.run(copies(&trace, 2));
+        let r2 = sys.run(copies(&trace, 2));
         for (a, b) in r1.per_core.iter().zip(&r2.per_core) {
             assert_eq!(a.instructions, per_copy);
             assert_eq!(b.instructions, 2 * per_copy, "counters accumulate");

@@ -1,4 +1,4 @@
-//! Sim-time windowed series recording for the multi-core scheduler:
+//! Sim-time windowed series recording for the core scheduler:
 //! wake-reason attribution, per-core step counts, and per-core retired
 //! instructions, bucketed into fixed CPU-cycle epochs.
 //!
@@ -8,15 +8,16 @@
 //! [`MultiCoreResult`](crate::MultiCoreResult) — enabling it provably
 //! cannot bend the simulation (pinned by `tests/series_differential.rs`).
 //!
-//! Both run loops roll the recorder immediately after `clock.tick()` —
+//! Both of the scheduler's run loops (next-event and the per-cycle
+//! reference) roll the recorder immediately after `clock.tick()` —
 //! before any wake is attributed or any core steps at the new cycle — so
 //! every increment lands in the epoch containing its own timestamp, and
 //! all-asleep jumps leave the skipped interior epochs zero.
 
-use cpu_model::exec::CoreEngine;
 use secddr_telemetry::{EpochRoller, SeriesSnapshot};
 
-use crate::telemetry::WakeReasons;
+use crate::exec::CoreEngine;
+use crate::wake::WakeReasons;
 
 /// Scheduler-layer series recorder (see module docs). Owned by
 /// [`MultiCoreSystem`](crate::MultiCoreSystem) behind an `Option`.

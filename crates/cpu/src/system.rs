@@ -1,22 +1,21 @@
-//! Full CPU-side system: core + L1 + LLC + prefetcher over a pluggable
-//! memory backend.
+//! The memory-backend seam, single-run results, and the single-core
+//! front [`CpuSystem`].
 //!
-//! The per-core state machine itself lives in [`crate::exec::CoreEngine`]
-//! — [`CpuSystem`] composes one core with the clock, the LLC, and the
-//! backend it owns. The run loop rides the shared event-driven kernel:
-//! with [`sim_kernel::Advance::ToNextEvent`] (the [`CpuConfig`] default)
-//! it skips stretches where the per-cycle reference would provably do
-//! nothing — no retirement (ROB head not ready), no dispatch (stalled on
-//! a miss, a full ROB, or a busy backend), and no backend completion
-//! before the backend's own [`MemoryBackend::next_event`] bound. Skipped
-//! cycles still count toward [`SimResult::cycles`], so results are
-//! bit-identical to [`sim_kernel::Advance::PerCycle`].
+//! [`MemoryBackend`] is what sits below the LLC; [`SimResult`] is what a
+//! core reports. [`CpuSystem`] is one core, L1D, LLC and prefetcher over
+//! a backend: it is the core scheduler ([`crate::scheduler`]) built with
+//! one core, so the single-core figures and the multi-core rate runs
+//! share one run loop. With [`sim_kernel::Advance::ToNextEvent`] (the
+//! [`CpuConfig`] default) that loop skips cycles where the per-cycle
+//! reference would provably do nothing; skipped cycles still count
+//! toward [`SimResult::cycles`], so results are bit-identical to
+//! [`sim_kernel::Advance::PerCycle`].
 
-use sim_kernel::{EventQueue, SimClock};
+use sim_kernel::EventQueue;
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::CacheStats;
 use crate::core::CpuConfig;
-use crate::exec::CoreEngine;
+use crate::scheduler::MultiCoreSystem;
 use crate::trace::TraceOp;
 
 /// Direction of a backend access.
@@ -275,34 +274,29 @@ impl SimResult {
 }
 
 /// The simulated CPU: ROB-limited OOO core, L1D, shared LLC, stream
-/// prefetcher, and a [`MemoryBackend`] below.
+/// prefetcher, and a [`MemoryBackend`] below — a one-core
+/// [`MultiCoreSystem`].
 #[derive(Debug)]
 pub struct CpuSystem<B> {
-    backend: B,
-    llc: Cache,
-    core: CoreEngine,
-    clock: SimClock,
+    inner: MultiCoreSystem<B>,
 }
 
 impl<B: MemoryBackend> CpuSystem<B> {
     /// Builds a system with Table I cache geometry.
     pub fn new(cfg: CpuConfig, backend: B) -> Self {
         Self {
-            backend,
-            llc: Cache::new(CacheConfig::llc()),
-            core: CoreEngine::new(cfg),
-            clock: SimClock::new(),
+            inner: MultiCoreSystem::new(1, cfg, backend),
         }
     }
 
     /// Read access to the backend (for engine statistics).
     pub fn backend(&self) -> &B {
-        &self.backend
+        self.inner.backend()
     }
 
     /// Mutable access to the backend.
     pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+        self.inner.backend_mut()
     }
 
     /// Runs the trace to completion (drains the ROB and all outstanding
@@ -310,33 +304,8 @@ impl<B: MemoryBackend> CpuSystem<B> {
     ///
     /// Calling `run` again continues cumulatively: the clock keeps
     /// advancing, caches stay warm, and counters accumulate across runs.
-    pub fn run<T: Iterator<Item = TraceOp>>(&mut self, mut trace: T) -> SimResult {
-        self.core.begin_trace();
-        loop {
-            // Event-driven fast path: jump over cycles where the
-            // per-cycle reference would provably do nothing. The probe
-            // itself is heuristically gated inside the core (idle-streak
-            // threshold, event-dense backoff) — wall-clock only, never
-            // simulated results.
-            if let Some(wake) = self.core.sleep_bound(self.clock.now(), &self.backend) {
-                if wake > self.clock.now() + 1 {
-                    self.clock.skip_to(wake - 1);
-                }
-            }
-            let now = self.clock.tick();
-            let completions = self.backend.tick(now);
-            let outcome = self.core.step(
-                now,
-                &mut self.llc,
-                &mut self.backend,
-                &mut trace,
-                &completions,
-            );
-            if outcome.finished {
-                break;
-            }
-        }
-        self.core.result()
+    pub fn run<T: Iterator<Item = TraceOp>>(&mut self, trace: T) -> SimResult {
+        self.inner.run(vec![trace]).per_core.swap_remove(0)
     }
 }
 
@@ -518,8 +487,7 @@ mod tests {
     #[test]
     fn second_run_continues_cumulatively() {
         // Re-running on a drained system simulates the new trace with a
-        // continuing clock, warm caches, and accumulating counters (the
-        // pre-CoreEngine monolith's semantics).
+        // continuing clock, warm caches, and accumulating counters.
         let mut sys = CpuSystem::new(CpuConfig::default(), FixedLatencyBackend::new(120));
         let r1 = sys.run((0..100u64).map(|i| TraceOp::Load(i * 64 * 131)));
         let r2 = sys.run((0..50u64).map(|_| TraceOp::Compute(60)));

@@ -1,4 +1,4 @@
-//! Wake-reason attribution for the next-event scheduler.
+//! Wake-reason attribution for the next-event core scheduler.
 //!
 //! Every time [`crate::MultiCoreSystem`]'s event-driven run loop moves a
 //! sleeping core back onto the awake-list, the wake is tagged with the

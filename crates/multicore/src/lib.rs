@@ -1,25 +1,19 @@
-//! Multi-core front-end: N OOO cores sharing the LLC and memory engine
-//! behind one next-event scheduler.
+//! Multi-core front-end: rate-mode traces for N OOO cores sharing the
+//! LLC and memory engine.
 //!
-//! The paper evaluates SecDDR in 4-core rate mode; this crate is that
-//! front-end. It composes the per-core state machine extracted from the
-//! single-core system ([`cpu_model::exec::CoreEngine`]) with one shared
-//! LLC and one shared [`cpu_model::MemoryBackend`]:
+//! The paper evaluates SecDDR in 4-core rate mode; this crate supplies
+//! its traces. The scheduler itself lives in `cpu-model` — one
+//! next-event scheduler serves 1..N cores, and the single-core
+//! [`cpu_model::CpuSystem`] is that scheduler built with one core — and
+//! is re-exported here:
 //!
-//! * [`MultiCoreSystem`] — N cores interleaved by next-event time: a
-//!   min-heap over each sleeping core's memoized wake-up bound steps
-//!   only due cores, and jumps the global clock when every core is
-//!   asleep — the shard scheduler of `secddr-channels`, one layer up.
-//!   Results are bit-identical to per-cycle lock-step, and
-//!   `MultiCoreSystem` with one core is observationally identical to the
-//!   bare `CpuSystem` (pinned by `tests/multicore_differential.rs`).
+//! * [`MultiCoreSystem`] / [`MultiCoreResult`] / [`WakeReasons`] — the
+//!   core scheduler, its per-core and aggregate results (aggregate IPC,
+//!   weighted speedup), and its wake-reason attribution.
 //! * [`CoreTrace`] / [`AddressSpace`] — rate-mode trace sharing: N cores
 //!   iterate one reference-counted trace, each relocated into its own
 //!   window of the backend's data span so copies cannot alias in the
 //!   shared LLC or the engine metadata.
-//! * [`MultiCoreResult`] — per-core [`cpu_model::SimResult`]s plus the
-//!   merged aggregate and the rate-mode metrics (aggregate IPC, weighted
-//!   speedup).
 //!
 //! Cores × channels compose through the one backend seam:
 //! `MultiCoreSystem<ShardedEngine>` works unchanged.
@@ -45,11 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod series;
-mod system;
-mod telemetry;
 mod trace;
 
-pub use system::{MultiCoreResult, MultiCoreSystem};
-pub use telemetry::WakeReasons;
+pub use cpu_model::{MultiCoreResult, MultiCoreSystem, WakeReasons};
 pub use trace::{AddressSpace, CoreTrace};

@@ -5,8 +5,9 @@
 //! each relocated into its own address window of the 10 GiB data span)
 //! and one heterogeneous mix, printing per-core IPC, aggregate IPC, and
 //! weighted speedup against each benchmark running alone on the same
-//! memory system. The single-core run is asserted bit-identical to the
-//! bare `CpuSystem` — the multi-core scheduler costs nothing at N=1.
+//! memory system. One scheduler serves 1..N cores: `CpuSystem` is that
+//! scheduler built with one core, so the N=1 rate run is asserted
+//! bit-identical to the stand-alone `CpuSystem` run.
 //!
 //! Run with: `cargo run --release --example multicore`
 //! (`SECDDR_INSTRS` overrides the per-core instruction budget.)
@@ -76,13 +77,12 @@ fn main() {
             result.weighted_speedup(&vec![single; n]),
         );
         if n == 1 {
-            // One core through the multi-core scheduler is the bare
-            // CpuSystem, observationally.
+            // `CpuSystem` is the same scheduler with one core.
             assert_eq!(
                 result.per_core[0], alone,
-                "N=1 must match the bare CpuSystem"
+                "N=1 must match the one-core CpuSystem"
             );
-            println!("          (asserted bit-identical to the bare CpuSystem)");
+            println!("          (asserted bit-identical to the one-core CpuSystem)");
         }
     }
 
@@ -119,7 +119,7 @@ fn main() {
 
     println!(
         "\nEach core is a full OOO pipeline (ROB, L1D, stream prefetcher)\n\
-         from the extracted CoreEngine; all cores share one LLC and one\n\
+         (cpu-model's CoreEngine); all cores share one LLC and one\n\
          sharded memory engine through the MemoryBackend seam. The\n\
          scheduler steps only cores whose next-event bound is due — a\n\
          long-stalled core costs nothing while its neighbours run."
