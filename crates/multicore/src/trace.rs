@@ -149,7 +149,6 @@ impl Iterator for CoreTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpu_model::{CpuConfig, FixedLatencyBackend, MultiCoreSystem};
 
     #[test]
     fn windows_are_disjoint_and_line_aligned() {
@@ -223,28 +222,6 @@ mod tests {
                 TraceOp::Store(0xC0 + w),
             ]
         );
-    }
-
-    #[test]
-    fn identity_address_space_shares_lines_across_cores() {
-        // Core 0 fetches a line; core 1 touches the same trace address
-        // much later (after a long compute ramp). With the identity
-        // disambiguator core 1 hits the line core 0 installed in the
-        // shared LLC; with per-core windows the addresses are disjoint
-        // and both cores miss.
-        let early = Arc::new(vec![TraceOp::Load(0x40_0000)]);
-        let late = Arc::new(vec![TraceOp::Compute(6_000), TraceOp::Load(0x40_0000)]);
-        let misses_with = |space: AddressSpace| {
-            let mut sys =
-                MultiCoreSystem::new(2, CpuConfig::default(), FixedLatencyBackend::new(100));
-            let traces = vec![
-                CoreTrace::new(Arc::clone(&early), 0, space),
-                CoreTrace::new(Arc::clone(&late), 1, space),
-            ];
-            sys.run(traces).merged().llc.misses
-        };
-        assert_eq!(misses_with(AddressSpace::identity()), 1);
-        assert_eq!(misses_with(AddressSpace::windows(1 << 32, 2)), 2);
     }
 
     #[test]

@@ -79,6 +79,15 @@ const FIG6: [(&str, [u64; 6]); 3] = [
     ),
 ];
 
+/// bwaves at a budget long enough for dirty lines to leave the LLC. At
+/// [`BUDGET`] no write reaches DRAM, so both XTS columns above equal the
+/// TDX baseline; here SecDDR+XTS pays the eWCRC BL10 write burst that
+/// Encrypt-only XTS does not.
+const WRITE_BUDGET: u64 = 100_000;
+
+/// bwaves at [`WRITE_BUDGET`]: SecDDR+XTS, then Encrypt-only XTS.
+const BWAVES_WRITES: [u64; 2] = [0x0b67_4f24_279b_6c1d, 0x8f2b_eaee_6dc7_3925];
+
 /// mcf x SecDDR+CTR, four rate-mode cores over a 4-channel
 /// xor-interleaved `ShardedEngine`.
 const RATE_N4: u64 = 0x896c_9aad_a102_47ee;
@@ -102,6 +111,29 @@ fn figure6_cells_match_golden_digests() {
         "digests changed:\n{}",
         diverged.join("\n")
     );
+}
+
+#[test]
+fn xts_cells_with_writebacks_match_golden_digests() {
+    let bench = Benchmark::by_name("bwaves").expect("bwaves exists");
+    let trace = bench.generate(WRITE_BUDGET, SEED);
+    let configs = [
+        SecurityConfig::secddr_xts(),
+        SecurityConfig::encrypt_only_xts(),
+    ];
+    let got = configs.map(|config| {
+        let r = run_trace_with_options(&bench, &trace, &config, EngineOptions::default());
+        digest_of(&(&r.sim, &r.engine, &r.dram))
+    });
+    assert_ne!(got[0], got[1], "the eWCRC write burst must show");
+    for ((config, got), want) in configs.iter().zip(got).zip(BWAVES_WRITES) {
+        assert_eq!(
+            got,
+            want,
+            "bwaves x {}: digest changed: {got:#018x}",
+            config.label()
+        );
+    }
 }
 
 #[test]
