@@ -646,7 +646,7 @@ fn earliest_wake(heap: &mut EventQueue<usize>, bounds: &[u64]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::FixedLatencyBackend;
+    use crate::system::{CpuSystem, FixedLatencyBackend};
     use sim_kernel::Advance;
 
     fn mixed_trace(seed: u64, len: u64) -> Vec<TraceOp> {
@@ -664,18 +664,24 @@ mod tests {
             .collect()
     }
 
-    /// `cores` identical iterators over `trace`.
-    fn copies(
-        trace: &[TraceOp],
-        cores: usize,
-    ) -> Vec<std::iter::Copied<std::slice::Iter<'_, TraceOp>>> {
-        (0..cores).map(|_| trace.iter().copied()).collect()
-    }
-
     fn cfg(advance: Advance) -> CpuConfig {
         CpuConfig {
             advance,
             ..CpuConfig::default()
+        }
+    }
+
+    #[test]
+    fn single_core_matches_cpusystem() {
+        let trace = mixed_trace(0xA5, 3_000);
+        for advance in [Advance::ToNextEvent, Advance::PerCycle] {
+            let single = CpuSystem::new(cfg(advance), FixedLatencyBackend::new(180))
+                .run(trace.iter().copied());
+            let mut multi = MultiCoreSystem::new(1, cfg(advance), FixedLatencyBackend::new(180));
+            let result = multi.run(vec![trace.iter().copied()]);
+            assert_eq!(result.per_core.len(), 1);
+            assert_eq!(result.per_core[0], single, "{advance:?}");
+            assert_eq!(result.merged(), single, "{advance:?}");
         }
     }
 
@@ -690,64 +696,19 @@ mod tests {
     }
 
     #[test]
-    fn rate_mode_retires_every_copy() {
-        let trace = mixed_trace(3, 2_000);
-        let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
-        let mut sys =
-            MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(200));
-        let result = sys.run(copies(&trace, 4));
-        assert_eq!(result.per_core.len(), 4);
-        for r in &result.per_core {
-            assert_eq!(r.instructions, per_copy);
-        }
-        assert_eq!(result.merged().instructions, 4 * per_copy);
-        assert_eq!(
-            result.merged().cycles,
-            result.per_core.iter().map(|r| r.cycles).max().unwrap()
-        );
-    }
-
-    #[test]
-    fn per_core_llc_shares_sum_to_shared_totals() {
-        let trace = mixed_trace(11, 3_000);
-        let mut sys =
-            MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let result = sys.run(copies(&trace, 4));
-        let merged = result.merged();
-        assert_eq!(&merged.llc, sys.llc_stats());
-        assert!(merged.llc.misses > 0);
-    }
-
-    #[test]
     fn compute_only_cores_do_not_interfere() {
         // No memory traffic: each core's run is as long as it would be
         // alone, and the scheduler still terminates via the global jump.
         let trace: Vec<TraceOp> = (0..200).map(|_| TraceOp::Compute(60)).collect();
-        let alone =
-            MultiCoreSystem::new(1, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100))
-                .run(copies(&trace, 1))
-                .merged();
+        let alone = CpuSystem::new(cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100))
+            .run(trace.iter().copied());
         let mut sys =
             MultiCoreSystem::new(4, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(100));
-        let result = sys.run(copies(&trace, 4));
+        let result = sys.run((0..4).map(|_| trace.iter().copied()).collect());
         for r in &result.per_core {
             assert_eq!(r.cycles, alone.cycles);
             assert_eq!(r.instructions, alone.instructions);
         }
-    }
-
-    #[test]
-    fn heterogeneous_mix_produces_per_core_results() {
-        let a = mixed_trace(1, 1_500);
-        let b: Vec<TraceOp> = (0..500).map(|_| TraceOp::Compute(50)).collect();
-        let mut sys =
-            MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(220));
-        let result = sys.run(vec![a.iter().copied(), b.iter().copied()]);
-        let ia: u64 = a.iter().map(TraceOp::instructions).sum();
-        let ib: u64 = b.iter().map(TraceOp::instructions).sum();
-        assert_eq!(result.per_core[0].instructions, ia);
-        assert_eq!(result.per_core[1].instructions, ib);
-        assert!(result.per_core[1].ipc() > result.per_core[0].ipc());
     }
 
     #[test]
@@ -774,21 +735,6 @@ mod tests {
         // Cores alone ran at IPC 2 and 4: weighted speedup 0.5 + 0.75.
         assert!((result.weighted_speedup(&[2.0, 4.0]) - 1.25).abs() < 1e-12);
         assert!((result.merged().ipc() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn second_run_continues_cumulatively() {
-        let trace = mixed_trace(9, 800);
-        let per_copy: u64 = trace.iter().map(TraceOp::instructions).sum();
-        let mut sys =
-            MultiCoreSystem::new(2, cfg(Advance::ToNextEvent), FixedLatencyBackend::new(150));
-        let r1 = sys.run(copies(&trace, 2));
-        let r2 = sys.run(copies(&trace, 2));
-        for (a, b) in r1.per_core.iter().zip(&r2.per_core) {
-            assert_eq!(a.instructions, per_copy);
-            assert_eq!(b.instructions, 2 * per_copy, "counters accumulate");
-            assert!(b.cycles > a.cycles, "clock keeps advancing");
-        }
     }
 
     #[test]

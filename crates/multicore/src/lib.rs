@@ -43,3 +43,6 @@ mod trace;
 
 pub use cpu_model::{MultiCoreResult, MultiCoreSystem, WakeReasons};
 pub use trace::{AddressSpace, CoreTrace};
+
+#[cfg(test)]
+mod tests;
